@@ -17,7 +17,8 @@ A snapshot is a single versioned JSON file holding:
   accumulated per-region policies, per-site fault counters, and
   code-identity map (monotone learning survives the restart);
 * the interpreter's execution profile (anchor/exec counts, branch
-  bias, observed-MMIO sites), so warm regions stay above threshold;
+  bias, observed-MMIO and page-table-store sites), so warm regions stay
+  above threshold;
 * a digest of the semantically relevant ``CMSConfig`` dials, so a
   snapshot taken under a different speculation/SMC dial set is
   rejected whole — never partially applied — when
@@ -274,6 +275,7 @@ def build_payload(system) -> dict:
             "branch_bias": {str(k): [b.taken, b.not_taken]
                             for k, b in profile.branch_bias.items()},
             "mmio_sites": sorted(profile.mmio_sites),
+            "pt_store_sites": sorted(profile.pt_store_sites),
         },
     }
     if system.obs is not None:
@@ -429,6 +431,9 @@ def _apply_payload(system, payload: dict,
         bias.taken += int(taken)
         bias.not_taken += int(not_taken)
     profile.mmio_sites.update(int(a) for a in profile_data["mmio_sites"])
+    # Absent from snapshots written before the table existed.
+    profile.pt_store_sites.update(
+        int(a) for a in profile_data.get("pt_store_sites", ()))
 
     system.controller.import_state(controller_state)
 

@@ -19,7 +19,9 @@ recur ``fault_threshold`` times):
   "zero-instruction translation that simply calls the interpreter");
 * speculative guest fault: stop hoisting the faulting load, then give up
   control speculation for the region;
-* store-buffer overflow: commit more often, then narrow.
+* store-buffer overflow: commit more often, then narrow;
+* live page-table store (§3.6.1): pin the storing instruction to the
+  interpreter, which makes the mutation visible to the next walk.
 
 All adjustments go through ``TranslationPolicy.merge`` so that policies
 only ever accumulate — the paper's defense against "bouncing between
@@ -274,4 +276,6 @@ class AdaptiveController:
                 max_instructions=max(MIN_REGION,
                                      policy.max_instructions // 2)
             )
+        if kind is HostFaultKind.MMU_MUTATION:
+            return policy.with_(stop_addrs=policy.stop_addrs | {site})
         return None  # PROTECTION / SELF_CHECK are the SMC manager's job

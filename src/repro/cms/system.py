@@ -525,8 +525,10 @@ class CodeMorphingSystem:
                     translation, fuel=self.config.dispatch_fuel_molecules
                 )
         self.stats.chains_followed += exit_info.chains_followed
+        # Chained entries were counted as they were followed; count the
+        # dispatcher's own entry here.
+        translation.entries += 1
         current = exit_info.translations_entered[-1]
-        current.entries += 1
         if obs is not None:
             # Committed work only: instructions_retired ticks at commit
             # and this reading precedes any rollback below, so faulted
@@ -809,8 +811,11 @@ class CodeMorphingSystem:
         identity = self._code_identity(eip)
         if identity is not None:
             self.controller.observe_code(eip, identity)
-        if eip in self.controller.policy_for(eip).stop_addrs:
-            return None  # pinned to the interpreter (§3.2)
+        if eip in self.profile.pt_store_sites or \
+                eip in self.controller.policy_for(eip).stop_addrs:
+            # A page-table store the interpreter profiled, or pinned to
+            # the interpreter (§3.2).
+            return None
         if not self.degrade.allow_translation(eip):
             return None  # quarantined: interpret until probation expires
         try:
@@ -833,13 +838,6 @@ class CodeMorphingSystem:
             self._contain("translate", eip, error)
             return None
         if translation is None:
-            return None
-        if self.machine.mmu.paging_enabled and \
-                not self._translation_mapped(translation):
-            # The translator read part of this region through a
-            # non-identity mapping (the entry page was identity but a
-            # later page was not); caching it would pin the wrong
-            # physical bytes.  Interpret until the mapping settles.
             return None
         self.tcache.insert(translation)
         self.smc.protect_translation(translation)
@@ -889,13 +887,9 @@ class CodeMorphingSystem:
             if not self.config.failure_containment:
                 raise
             self._contain("retranslate", entry, error)
-        if replacement is None or (
-                self.machine.mmu.paging_enabled and
-                not self._translation_mapped(replacement)):
-            # No replacement — or the retranslator just read the region
-            # through a non-identity mapping (same rule as first-time
-            # translation).  Either way the region falls back to the
-            # interpreter with its page protection rebuilt.
+        if replacement is None:
+            # The region falls back to the interpreter with its page
+            # protection rebuilt.
             for page in stale_pages:
                 self.smc.recompute_page(page)
             return
@@ -959,15 +953,6 @@ class CodeMorphingSystem:
         if kind is HostFaultKind.SELF_CHECK:
             self._handle_self_check_fail(translation)
             return
-        if kind is HostFaultKind.MMU_MUTATION:
-            # Page-table store: the interpreter re-executes it from the
-            # committed state so the mutation is immediately visible to
-            # MMU walks (a buffered store would not be).  Regions that
-            # keep mutating the table storm the ladder toward the
-            # interpreter — the adaptive response, like §3.4's
-            # interpret-only pinning.
-            self._interp_step()
-            return
         if kind is HostFaultKind.GUEST_FAULT:
             genuine = self._recovery_interpret(fault, translation)
             if genuine:
@@ -982,11 +967,16 @@ class CodeMorphingSystem:
                                   translation.entry_eip, policy.describe())
                 self._retranslate(translation, policy)
             return
-        # ALIAS_VIOLATION / SPEC_MMIO / STOREBUF_OVERFLOW: "rollback and
-        # conservative re-execution in the interpreter" (§3.5), then
-        # maybe retranslate.  Recovery interprets through the region
-        # boundary so translation-entry profiling is not distorted by
-        # mid-region addresses becoming anchors.
+        # ALIAS_VIOLATION / SPEC_MMIO / STOREBUF_OVERFLOW /
+        # MMU_MUTATION: "rollback and conservative re-execution in the
+        # interpreter" (§3.5), then maybe retranslate.  Recovery
+        # interprets through the region boundary so translation-entry
+        # profiling is not distorted by mid-region addresses becoming
+        # anchors.  A page-table store reaches this point only when the
+        # profile had not seen its site store into the table (its
+        # address reached the table after translation); re-executed in
+        # the interpreter, the mutation is visible to the next MMU walk
+        # at once, and a recurring site is pinned there.
         policy = self.controller.note_fault(translation, fault, None)
         if policy is not None:
             self.bus.record(Event.POLICY_ESCALATE, translation.entry_eip,

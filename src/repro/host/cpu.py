@@ -327,7 +327,10 @@ class HostCPU:
         regs = self.regs.working
         vaddr = (regs[atom.rs1] + atom.disp) & MASK32
         try:
-            paddr = self.machine.vtranslate(vaddr, atom.size, is_write=False)
+            # Speculative until commit: a #PF here is rolled back and
+            # counted by the interpreter if it recurs there.
+            paddr = self.machine.mmu.translate_range(
+                vaddr, atom.size, False, speculative=True)
         except GuestException as exc:
             self._guest_fault(atom, exc)
             raise AssertionError  # unreachable
@@ -361,7 +364,8 @@ class HostCPU:
         regs = self.regs.working
         vaddr = (regs[atom.rs1] + atom.disp) & MASK32
         try:
-            paddr = self.machine.vtranslate(vaddr, atom.size, is_write=True)
+            paddr = self.machine.mmu.translate_range(
+                vaddr, atom.size, True, speculative=True)
         except GuestException as exc:
             self._guest_fault(atom, exc)
             raise AssertionError  # unreachable
@@ -382,6 +386,9 @@ class HostCPU:
                 # mapping.  Treat the mutation as a serializing event —
                 # abort the region and let the interpreter execute the
                 # store (immediately visible, §3.6.1 conservatively).
+                # Sites the interpreter profiled storing here are never
+                # translated; this catches the rest, and the controller
+                # pins a recurring one to the interpreter.
                 raise HostFaultError(
                     HostFault(HostFaultKind.MMU_MUTATION,
                               guest_addr=atom.guest_addr, paddr=paddr)

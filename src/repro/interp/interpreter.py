@@ -28,6 +28,7 @@ from repro.isa.exceptions import GuestException
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.machine import Machine
+from repro.memory.mmu import PT_SPAN
 from repro.state import FLAG_SLOTS, GuestState
 
 MASK32 = 0xFFFFFFFF
@@ -74,6 +75,7 @@ class Interpreter:
         self.interrupts_delivered = 0
         self._halted_waiting = False
         self._touched_mmio = False
+        self._touched_pt = False
 
     # ------------------------------------------------------------------
     # Top-level stepping
@@ -107,6 +109,7 @@ class Interpreter:
 
         addr = state.eip
         self._touched_mmio = False
+        self._touched_pt = False
         try:
             icache = self.icache
             if icache is not None and not self.machine.mmu.paging_enabled:
@@ -143,6 +146,8 @@ class Interpreter:
             self.profile.on_exec(addr)
             if self._touched_mmio:
                 self.profile.on_mmio(addr)
+            if self._touched_pt:
+                self.profile.on_pt_store(addr)
         if tick:
             self.machine.tick(1)
         return StepOutcome(addr=addr, instr=instr,
@@ -216,12 +221,18 @@ class Interpreter:
         return self.machine.bus.read(paddr, size)
 
     def _store(self, vaddr: int, value: int, size: int) -> None:
-        paddr = self.machine.vtranslate(vaddr, size, is_write=True)
-        if self.machine.bus.is_io(paddr, size):
+        machine = self.machine
+        paddr = machine.vtranslate(vaddr, size, is_write=True)
+        if machine.bus.is_io(paddr, size):
             self._touched_mmio = True
-        elif self.store_hook is not None:
-            self.store_hook(paddr, size)
-        self.machine.bus.write(paddr, value, size)
+        else:
+            mmu = machine.mmu
+            if mmu.paging_enabled and \
+                    0 <= paddr - mmu.page_table_base < PT_SPAN:
+                self._touched_pt = True
+            if self.store_hook is not None:
+                self.store_hook(paddr, size)
+        machine.bus.write(paddr, value, size)
 
     # ------------------------------------------------------------------
     # Execution

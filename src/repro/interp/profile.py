@@ -5,7 +5,10 @@ directions, and memory-mapped I/O operations" while it runs.  The
 translator consumes this profile: execution counts trigger translation
 at the threshold, branch bias steers trace growth through conditional
 branches, and the observed-MMIO set lets the translator avoid
-speculatively reordering accesses it already knows touch devices.
+speculatively reordering accesses it already knows touch devices.  The
+page-table-store set is the same idea for the MMU: instructions seen
+storing into the live page table stay in the interpreter, where the
+store is visible to the next table walk at once.
 """
 
 from __future__ import annotations
@@ -34,12 +37,14 @@ class BranchBias:
 
 
 class ExecutionProfile:
-    """Per-address execution counts, branch bias, and MMIO observations."""
+    """Per-address execution counts, branch bias, and MMIO and
+    page-table-store observations."""
 
     def __init__(self) -> None:
         self.exec_counts: Counter[int] = Counter()
         self.branch_bias: dict[int, BranchBias] = {}
         self.mmio_sites: set[int] = set()
+        self.pt_store_sites: set[int] = set()
         self.anchor_counts: Counter[int] = Counter()
 
     def on_exec(self, addr: int) -> None:
@@ -66,6 +71,9 @@ class ExecutionProfile:
 
     def on_mmio(self, instr_addr: int) -> None:
         self.mmio_sites.add(instr_addr)
+
+    def on_pt_store(self, instr_addr: int) -> None:
+        self.pt_store_sites.add(instr_addr)
 
     def bias_for(self, addr: int) -> BranchBias:
         return self.branch_bias.get(addr, BranchBias())

@@ -151,7 +151,9 @@ class Machine:
         self.bus.write(paddr, value, size)
 
     def vtranslate(self, vaddr: int, size: int, is_write: bool) -> int:
-        """Translate without performing the access (the host's TLB path)."""
+        """Translate without performing the access (the interpreter's
+        data path; translated code uses the non-counting
+        ``mmu.translate_range(..., speculative=True)``)."""
         return self.mmu.translate_range(vaddr & MASK32, size, is_write)
 
     # ------------------------------------------------------------------

@@ -14,8 +14,13 @@ Two kinds of state live here and must never mix:
 
 * **Architectural** — ``paging_enabled``, ``page_table_base``, and the
   ``translations``/``faults`` counters.  These advance only for guest
-  accesses; the differential oracle compares them exactly, so a
-  host-side probe that bumped them would diverge the legs.
+  accesses.  The differential oracle compares registers, RAM and
+  delivered exceptions, not these counters; the scenario records gate
+  them exactly instead, and every counted fault is a #PF the
+  interpreter delivers.  So host-side probes and code fetches must not
+  bump them, and a #PF raised by a translated access
+  (``speculative=True``) is not counted: the access is rolled back and,
+  if the fault is genuine, the interpreter re-executes and counts it.
 * **Host-side** — the software TLB, ``probe()``, and the
   ``tlb_hits``/``walks``/``probes``/``probe_walks`` stats.  The TLB is
   a pure cache over the guest page table: it caches present PTEs only
@@ -102,8 +107,13 @@ class MMU:
     # Architectural translation
     # ------------------------------------------------------------------
 
-    def translate(self, vaddr: int, is_write: bool) -> int:
-        """Return the physical address for ``vaddr`` or raise #PF."""
+    def translate(self, vaddr: int, is_write: bool,
+                  speculative: bool = False) -> int:
+        """Return the physical address for ``vaddr`` or raise #PF.
+
+        A ``speculative`` access (translated code, before commit) raises
+        the same #PF but leaves ``faults`` alone.
+        """
         vaddr &= MASK32
         if not self.paging_enabled:
             return vaddr
@@ -118,14 +128,17 @@ class MMU:
         else:
             self.tlb_hits += 1
         if not pte & PTE_PRESENT:
-            self.faults += 1
+            if not speculative:
+                self.faults += 1
             raise page_fault(vaddr, is_write, present=False)
         if is_write and not pte & PTE_WRITABLE:
-            self.faults += 1
+            if not speculative:
+                self.faults += 1
             raise page_fault(vaddr, is_write, present=True)
         return (pte & ~(PAGE_SIZE - 1)) | (vaddr & (PAGE_SIZE - 1))
 
-    def translate_range(self, vaddr: int, size: int, is_write: bool) -> int:
+    def translate_range(self, vaddr: int, size: int, is_write: bool,
+                        speculative: bool = False) -> int:
         """Translate an access that must not span a page boundary split.
 
         Multi-byte accesses that cross a page boundary are translated
@@ -136,10 +149,10 @@ class MMU:
         accesses to discontiguous frames are almost always bugs); the
         bus will read whatever physical bytes follow.
         """
-        first = self.translate(vaddr, is_write)
+        first = self.translate(vaddr, is_write, speculative)
         last_byte = vaddr + size - 1
         if (vaddr >> PAGE_SHIFT) != (last_byte >> PAGE_SHIFT):
-            self.translate(last_byte, is_write)
+            self.translate(last_byte, is_write, speculative)
         return first
 
     # ------------------------------------------------------------------
@@ -151,9 +164,9 @@ class MMU:
         to, or None if unmapped/unwalkable.
 
         Never raises, and never touches the architectural
-        ``translations``/``faults`` counters — CMS dispatch uses this to
-        test identity mappings without perturbing the differential
-        compare.  Shares the TLB with ``translate``.
+        ``translations``/``faults`` counters — CMS dispatch and region
+        selection use this to test identity mappings without perturbing
+        them.  Shares the TLB with ``translate``.
         """
         vaddr &= MASK32
         if not self.paging_enabled:

@@ -10,8 +10,10 @@ backward branch to the region entry, which produces a loop region whose
 translation iterates entirely inside the translation cache.
 
 Regions stop at indirect control flow (the exit target is computed at
-runtime), at interpreter-only system instructions, and at the
-instruction-count cap.
+runtime), at interpreter-only system instructions, at instructions the
+profile saw storing into the live page table, at the first byte that is
+not fetchable through an identity mapping, and at the instruction-count
+cap.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ from dataclasses import dataclass, field
 
 from repro.interp.profile import ExecutionProfile
 from repro.isa.decoder import decode
-from repro.isa.exceptions import GuestException
+from repro.isa.exceptions import GuestException, general_protection
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Kind, Op
+from repro.memory.physical import PAGE_SHIFT
 from repro.translator.policies import TranslationPolicy
+
+MASK32 = 0xFFFFFFFF
 
 
 class RegionEnd(enum.Enum):
@@ -85,6 +90,43 @@ class Region:
         )
 
 
+class IdentityFetcher:
+    """Region selection's code fetcher: identity-mapped code only.
+
+    The dispatcher runs a translation only while every page of it maps
+    to itself, and SMC protection watches those pages by physical
+    address, so a translation must hold only bytes fetched through
+    identity mappings.  Fetching from any other page (unmapped or
+    mapped elsewhere) raises ``GuestException`` like any unfetchable
+    byte (MMIO, beyond RAM), which ends the region at that instruction
+    and admits the identity-mapped prefix — the way a front end ends a
+    fetch block where the request can no longer be served.  Each page
+    is tested once per fetcher with the MMU's non-counting ``probe``:
+    selection is not a guest access, so the architectural
+    ``translations``/``faults`` counters do not move.
+    """
+
+    def __init__(self, machine) -> None:
+        self._mmu = machine.mmu
+        self._bus = machine.bus
+        self._ram = machine.ram
+        self._identity: dict[int, bool] = {}
+
+    def fetch_byte(self, addr: int) -> int:
+        addr &= MASK32
+        page = addr >> PAGE_SHIFT
+        identity = self._identity.get(page)
+        if identity is None:
+            base = page << PAGE_SHIFT
+            identity = self._identity[page] = self._mmu.probe(base) == base
+        if not identity or self._bus.is_io(addr, 1):
+            raise general_protection()
+        try:
+            return self._ram.read8(addr)
+        except IndexError:
+            raise general_protection() from None
+
+
 class RegionSelector:
     """Grows a trace from a hot entry address using the profile."""
 
@@ -104,11 +146,14 @@ class RegionSelector:
         addr = entry_eip
         seen: set[int] = set()
         limit = policy.max_instructions
+        pt_store_sites = self._profile.pt_store_sites
 
         while len(region.instrs) < limit:
-            if addr in policy.stop_addrs:
+            if addr in policy.stop_addrs or addr in pt_store_sites:
                 # The adaptive controller pinned this instruction to the
-                # interpreter (recurring genuine faults, §3.2).
+                # interpreter (recurring faults, §3.2), or the profile
+                # saw it store into the live page table, which only the
+                # interpreter makes visible to the next walk at once.
                 region.end = RegionEnd.CONT
                 region.end_target = addr
                 break

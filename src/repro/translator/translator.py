@@ -16,7 +16,8 @@ from repro.translator.codegen import CodegenError, CodeGenerator
 from repro.translator.frontend import Frontend, FrontendError
 from repro.translator.optimize import optimize
 from repro.translator.policies import TranslationPolicy
-from repro.translator.region import Region, RegionEnd, RegionSelector
+from repro.translator.region import (IdentityFetcher, Region, RegionEnd,
+                                     RegionSelector)
 from repro.translator.schedule import Scheduler
 from repro.translator.traces import TraceBuilder
 
@@ -61,7 +62,8 @@ class Translator:
         codegen numbers directly instead of re-running the pipeline on a
         freshly built single body, halving the real cost of a promotion.
         """
-        selector = RegionSelector(self.machine, self.profile)
+        selector = RegionSelector(IdentityFetcher(self.machine),
+                                  self.profile)
         builder = TraceBuilder(selector, self.profile,
                                min_reach=self.trace_min_reach)
         attempt_policy = policy

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro import CMSConfig
+from repro import CMSConfig, CodeMorphingSystem, Machine
 from repro.cache.tcache import TranslationCache
+from repro.isa.assembler import assemble
 
 from conftest import assert_equivalent, run_cms
 from test_tcache import make_translation
@@ -100,6 +101,50 @@ class TestIndirectChaining:
         system, _ = run_cms(CALL_HEAVY, config=FAST)
         stats = system.stats
         assert stats.chains_followed > stats.dispatches * 0.5
+
+
+# Two straight-line regions split by a two-instruction region cap: the
+# dispatcher enters ``head``, whose exit chains into ``tail``; ``tail``
+# exits to the interpreter-only ``cli``, so back to the dispatcher.
+CHAIN_PAIR = """
+start:
+    mov esi, 0
+head:
+    add esi, 1
+    add esi, 2
+tail:
+    add esi, 4
+    cli
+    hlt
+"""
+
+
+class TestEntryAccounting:
+    def test_dispatched_and_chained_translations_count_once(self):
+        config = replace(FAST, translation_threshold=1,
+                         max_region_instructions=2)
+        program = assemble(CHAIN_PAIR)
+        machine = Machine()
+        machine.load_program(program)
+        system = CodeMorphingSystem(machine, config)
+        head_eip = program.symbols["head"]
+        head = system._maybe_translate(head_eip)
+        tail = system._maybe_translate(program.symbols["tail"])
+        assert head is not None and tail is not None
+
+        def dispatch():
+            system.state.eip = head_eip
+            system._dispatch_inner()
+
+        dispatch()  # head exits to tail, and that exit gets chained
+        head.entries = tail.entries = 0
+        runs = 5
+        for _ in range(runs):
+            dispatch()
+        assert system.stats.chains_followed == runs
+        # One entry each per run: the dispatcher's into head, the
+        # chain's into tail.
+        assert (head.entries, tail.entries) == (runs, runs)
 
 
 class TestGenerationalGC:

@@ -7,6 +7,7 @@ import pytest
 from repro.interp import Halted, Interpreter
 from repro.interp.profile import ExecutionProfile
 from repro.isa import flags as fl
+from repro.isa.assembler import assemble
 from repro.isa.exceptions import IRQ_BASE, Vector
 from repro.machine import CONSOLE_MMIO_BASE, Machine
 from repro.state import FLAG_SLOTS, SimpleGuestState
@@ -653,3 +654,39 @@ class TestPaging:
         """)
         assert state.get_reg(7) == 0xBAD
         assert state.get_reg(6) & 0x1 == 0  # not-present fault
+
+    def test_profile_records_page_table_store_site(self):
+        # Only stores into the live table are recorded: not the table
+        # build (paging off), not a data store, not a store after pgoff.
+        program = assemble("""
+        PT = 0x8000             ; inside the 16 mapped pages
+        start:
+            mov ebx, PT
+            mov ecx, 0
+        build:
+            mov eax, ecx
+            shl eax, 12
+            or eax, 3
+            storex [ebx+ecx*4], eax
+            inc ecx
+            cmp ecx, 16
+            jne build
+            mov eax, PT
+            setpt eax
+            pgon
+            mov eax, 0x2003
+        pt_store:
+            store [ebx+8], eax  ; PTE of vpn 2, same value
+            mov edx, 0x6000     ; below the table's span
+            store [edx], eax
+            pgoff
+            store [ebx+8], eax
+            cli
+            hlt
+        """)
+        machine = Machine()
+        state = SimpleGuestState()
+        state.eip = machine.load_program(program)
+        profile = ExecutionProfile()
+        Interpreter(machine, state, profile).run()
+        assert profile.pt_store_sites == {program.symbols["pt_store"]}

@@ -1,6 +1,6 @@
 """Paging coherency: translated code vs a live guest MMU (§3.2, §3.6.1).
 
-Pins the three MMU-related fixes plus the precise-exception contract:
+Pins the MMU-related fixes plus the precise-exception contract:
 
 * stale translated code must not survive a page-table remap — neither
   via dispatch (a translation whose pages are no longer identity-
@@ -8,8 +8,12 @@ Pins the three MMU-related fixes plus the precise-exception contract:
 * a write-protect #PF raised mid-translation must roll back and
   re-deliver in the interpreter at the exact faulting instruction,
 * a translated store into the live page table must abort the region
-  (store-buffer contents are invisible to the MMU's table walker),
-* CMS-internal mapping probes must never perturb the architectural
+  (store-buffer contents are invisible to the MMU's table walker), and
+  a recurring one is pinned to the interpreter,
+* region selection reads only identity-mapped code, so a region ends
+  at the first page that is not, instead of being built and discarded,
+* CMS-internal mapping probes, translator fetches, and rolled-back
+  translated accesses must never perturb the architectural
   ``translations``/``faults`` counters.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from repro import CMSConfig
 from repro.cms.system import CodeMorphingSystem
+from repro.isa.assembler import assemble
 from repro.machine import Machine
 from repro.memory.mmu import PTE_PRESENT, PTE_WRITABLE
 from repro.memory.physical import PAGE_SIZE
@@ -157,26 +162,56 @@ expected:
     .word 0
 """
 
-# A hot loop that rewrites a live PTE (with its current value) every
-# iteration: each translated pass must abort with MMU_MUTATION and
-# re-execute the store through the interpreter.
+# A hot loop whose store reaches the live page table only after the
+# loop is translated: the first call stores to a data word, the second
+# rewrites the PTE of vpn 0x3FF with its current value.  The interpreter
+# never saw the site touch the table, so the translated store must trip
+# the MMU_MUTATION interlock (abort, re-execute in the interpreter)
+# until the controller pins the site to the interpreter.
 PT_STORE_PROGRAM = """
 .org 0x00010000
 start:
     mov esp, 0x0007F000
     mov esi, 0
 """ + _PAGING_ON + """
+    mov edx, 0x00100000                 ; a data word, not the table
+    mov eax, 0x12345
+    call mutate
+    mov edx, 0x00200FFC                 ; PTE of vpn 0x3FF
+    mov eax, 0x003FF003                 ; its current value
+    call mutate
+    pgoff
+    cli
+    hlt
+
+mutate:
     mov edi, 0
 mutloop:
-    storei [ebx + 0xFFC], 0x003FF003    ; PTE of vpn 0x3FF, same value
     add esi, 7
+pt_store:
+    store [edx], eax
     rol esi, 3
     inc edi
     cmp edi, 24
     jne mutloop
-    pgoff
-    cli
-    hlt
+    ret
+"""
+
+# Code on identity page 0x5F that reaches vpn 0x60 (mapped to frame
+# 0x70) by a call, and vpn 0x61 (not present) by a jump, under
+# make_paged_system's page table.
+NON_IDENTITY_CODE = """
+.org 0x0005F000
+caller:
+    mov eax, 1
+    add eax, 2
+    call 0x00060000
+    add eax, 3
+    ret
+.org 0x0005F100
+jumper:
+    mov eax, 4
+    jmp 0x00061000
 """
 
 
@@ -228,29 +263,45 @@ class TestPreciseWriteProtectFault:
 class TestLivePageTableStores:
     def test_translated_pt_store_aborts_and_reexecutes(self):
         both = assert_equivalent(PT_STORE_PROGRAM, config=FAST)
-        stats = both.cms_system.stats
+        system = both.cms_system
+        stats = system.stats
+        symbols = assemble(PT_STORE_PROGRAM).symbols
+        site, loop = symbols["pt_store"], symbols["mutloop"]
+        # The translated store into the table aborted and re-executed
+        # in the interpreter ...
         assert stats.faults.get("MMU_MUTATION", 0) > 0
         assert stats.rollbacks > 0
+        # ... until the recurring site was pinned to the interpreter;
+        # the remaining iterations of the second call took no interlock.
+        assert site in system.controller.policy_for(loop).stop_addrs
+        assert stats.faults["MMU_MUTATION"] == FAST.fault_threshold
+        # The loop still runs translated, up to the store.
+        translation = system.tcache.lookup(loop)
+        assert translation is not None
+        assert all(not start <= site < start + length
+                   for start, length in translation.code_ranges)
+
+
+def make_paged_system(source: str = "start:\n    cli\n    hlt\n"
+                      ) -> CodeMorphingSystem:
+    machine = Machine()
+    machine.load_source(source)
+    pt_base = 0x00200000
+    for vpn in range(1024):
+        machine.ram.write32(pt_base + vpn * 4,
+                            (vpn << 12) | PTE_PRESENT | PTE_WRITABLE)
+    # vpn 0x60 non-identity, vpn 0x61 not present.
+    machine.ram.write32(pt_base + 0x60 * 4,
+                        (0x70 << 12) | PTE_PRESENT)
+    machine.ram.write32(pt_base + 0x61 * 4, 0)
+    machine.mmu.set_page_table(pt_base)
+    machine.mmu.enable_paging()
+    return CodeMorphingSystem(machine, FAST)
 
 
 class TestProbePurity:
-    def make_paged_system(self) -> CodeMorphingSystem:
-        machine = Machine()
-        machine.load_source("start:\n    cli\n    hlt\n")
-        pt_base = 0x00200000
-        for vpn in range(1024):
-            machine.ram.write32(pt_base + vpn * 4,
-                                (vpn << 12) | PTE_PRESENT | PTE_WRITABLE)
-        # vpn 0x60 non-identity, vpn 0x61 not present.
-        machine.ram.write32(pt_base + 0x60 * 4,
-                            (0x70 << 12) | PTE_PRESENT)
-        machine.ram.write32(pt_base + 0x61 * 4, 0)
-        machine.mmu.set_page_table(pt_base)
-        machine.mmu.enable_paging()
-        return CodeMorphingSystem(machine, FAST)
-
     def test_identity_mapped_check_is_non_counting(self):
-        system = self.make_paged_system()
+        system = make_paged_system()
         mmu = system.machine.mmu
         before = (mmu.translations, mmu.faults)
         for _ in range(5):
@@ -260,15 +311,32 @@ class TestProbePurity:
         assert (mmu.translations, mmu.faults) == before
         assert mmu.probes == 15
 
+    def test_translator_fetch_is_non_counting(self):
+        # Region selection fetches code through the host-side probe:
+        # regions reaching the non-identity and the unmapped page leave
+        # the guest's MMU counters alone.
+        system = make_paged_system(NON_IDENTITY_CODE)
+        mmu = system.machine.mmu
+        before = (mmu.translations, mmu.faults)
+        for entry in (0x5F000, 0x5F100):
+            policy = system.controller.policy_for(entry)
+            assert system.translator.translate(entry, policy) is not None
+        assert (mmu.translations, mmu.faults) == before
+
     def test_oracle_leg_fault_counter_parity(self):
-        # Runner-level pin: in the interpreter-only leg every MMU
-        # fault raised is delivered, so the architectural fault counter
-        # must exactly equal delivered exceptions.  Counting CMS-side
-        # probes (the pre-fix behavior) breaks this equality.
+        # Runner-level pin: every MMU fault counted is a #PF the
+        # interpreter delivers, so the architectural fault counter must
+        # exactly equal delivered exceptions — in the interpreter-only
+        # leg, and in the CMS leg, where a #PF out of translated code is
+        # rolled back and counted only when the interpreter re-raises
+        # it.  Counting CMS-side probes, translator fetches or
+        # rolled-back accesses breaks this equality.
         from repro.scenarios.matrix import get
         from repro.scenarios.runner import _build_machine
 
-        prog = get("paging").build(6_000, 3)
+        # 9k is the smallest budget whose CMS leg takes #PFs out of
+        # translated code.
+        prog = get("paging").build(9_000, 3)
         machine, entry = _build_machine(prog, 3)
         oracle = CodeMorphingSystem(machine,
                                     CMSConfig().interpreter_only())
@@ -277,3 +345,39 @@ class TestProbePurity:
         assert delivered > 0
         assert machine.mmu.faults == delivered
         assert machine.mmu.probes > 0  # the dispatcher really probed
+
+        machine, entry = _build_machine(prog, 3)
+        cms = CodeMorphingSystem(machine, CMSConfig())
+        cms.run(entry, max_instructions=prog.max_instructions)
+        # Translated code really took #PFs.
+        assert cms.stats.faults.get("GUEST_FAULT", 0) > 0
+        assert cms.interpreter.exceptions_delivered == delivered
+        assert machine.mmu.faults == delivered
+
+
+class TestIdentityRegionSelection:
+    def test_call_into_non_identity_page_ends_region(self):
+        system = make_paged_system(NON_IDENTITY_CODE)
+        entry = 0x5F000
+        system.profile.anchor_counts[entry] = \
+            system.config.translation_threshold - 1
+        translation = system._maybe_translate(entry)
+        # Admitted, not built and discarded: the region ends at the
+        # call, whose target page does not map to itself.
+        assert translation is not None
+        assert system.tcache.lookup(entry) is translation
+        assert translation.pages() == {0x5F}
+        assert translation.guest_instr_count == 3
+        assert system._translation_mapped(translation)
+
+    def test_profiled_page_table_store_never_reaches_translate(self):
+        system = make_paged_system(NON_IDENTITY_CODE)
+        entry = 0x5F000
+        system.profile.on_pt_store(entry)
+        system.profile.anchor_counts[entry] = \
+            system.config.translation_threshold
+        calls = []
+        system.translator.translate = \
+            lambda *args, **kwargs: calls.append(args)
+        assert system._maybe_translate(entry) is None
+        assert calls == []

@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import CMSConfig, CodeMorphingSystem, Machine
 from repro.cache import persist
+from repro.isa.assembler import assemble
 from repro.cache.persist import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -174,6 +175,63 @@ class TestRoundTrip:
             assert not translation.incoming_chains
             for atom in translation.exit_atoms:
                 assert atom.chained_translation is None
+
+
+# Paging on over an identity table, then a loop rewriting one live PTE
+# with its current value: the interpreter learns the store's site
+# before the loop is translated.
+PT_STORE_PROGRAM = """
+.org 0x00010000
+start:
+    mov ebx, 0x00200000
+    mov ecx, 0
+ptbuild:
+    mov eax, ecx
+    shl eax, 12
+    or eax, 3
+    storex [ebx + ecx*4], eax
+    inc ecx
+    cmp ecx, 1024
+    jne ptbuild
+    mov eax, 0x00200000
+    setpt eax
+    pgon
+    mov ecx, 0
+rewrite:
+    add esi, 7
+pt_store:
+    storei [ebx + 0xFFC], 0x003FF003
+    inc ecx
+    cmp ecx, 40
+    jne rewrite
+    pgoff
+    cli
+    hlt
+"""
+
+
+class TestPageTableStoreSites:
+    def test_sites_round_trip(self, snap_path):
+        cold, _ = cold_save(snap_path, PT_STORE_PROGRAM)
+        site = assemble(PT_STORE_PROGRAM).symbols["pt_store"]
+        assert cold.profile.pt_store_sites == {site}
+        payload = read_snapshot_file(snap_path)
+        assert payload["profile"]["pt_store_sites"] == [site]
+        warm, _ = warm_system(snap_path, PT_STORE_PROGRAM)
+        assert warm.snapshot_error is None
+        assert warm.profile.pt_store_sites == {site}
+
+    def test_snapshot_without_sites_still_loads(self, snap_path):
+        # Snapshots written before the table existed lack the key; they
+        # load as they did, with no sites learned.
+        cold_save(snap_path, PT_STORE_PROGRAM)
+        payload = read_snapshot_file(snap_path)
+        del payload["profile"]["pt_store_sites"]
+        persist.write_snapshot_file(snap_path, payload)
+        warm, _ = warm_system(snap_path, PT_STORE_PROGRAM)
+        assert warm.snapshot_error is None
+        assert warm.snapshot_report.loaded == len(payload["resident"]) > 0
+        assert warm.profile.pt_store_sites == set()
 
 
 class TestRevalidation:

@@ -115,6 +115,20 @@ class TestRegionSelection:
         region = selector.select(entry, policy)
         assert len(region.instrs) == 1
 
+    def test_stops_before_profiled_page_table_store(self):
+        machine, entry = build_machine(
+            "start: mov eax, 1\nadd eax, 2\nmov ebx, 3\ncli\nhlt\n")
+        profile = ExecutionProfile()
+        profile.on_pt_store(entry + 6)
+        region = RegionSelector(machine, profile).select(
+            entry, TranslationPolicy())
+        assert len(region.instrs) == 1
+        assert region.end is RegionEnd.CONT
+        assert region.end_target == entry + 6
+        # A profiled site at the entry leaves nothing to translate.
+        assert RegionSelector(machine, profile).select(
+            entry + 6, TranslationPolicy()) is None
+
     def test_max_instructions_cap(self):
         source = "start:\n" + "    inc eax\n" * 50 + "    cli\n    hlt\n"
         policy = TranslationPolicy(max_instructions=10)
