@@ -62,6 +62,7 @@ _CONFIG_EXCLUDE = frozenset({
     "snapshot_path", "snapshot_save", "snapshot_strict_config",
     "obs_enabled", "obs_jsonl_path", "obs_histogram_buckets",
     "decode_cache", "fast_bus_routing", "fast_dispatch", "template_jit",
+    "mmu_tlb",
     "chaos_rate", "chaos_seed", "chaos_tenant",
 })
 

@@ -95,10 +95,19 @@ class Translation:
     _region_addr_set: frozenset[int] | None = field(
         default=None, repr=False)
     # Template-JIT function for this translation (host/jit.py), built
-    # lazily on first dispatch.  Dropped on invalidation and never
-    # persisted: its closure binds one process's live CPU objects, so a
-    # warm-loaded translation recompiles on first dispatch instead.
+    # once the translation is hot (``TemplateJIT.compile_passes``).
+    # Dropped on invalidation and never persisted: its closure binds
+    # one process's live CPU objects, so a warm-loaded translation
+    # recompiles on its first dispatch instead.
     host_code: object | None = field(default=None, repr=False)
+    # Admitted from a snapshot or a fleet share rather than translated
+    # here (runtime only, never persisted).  The template JIT compiles
+    # it on first entry.  In a fleet, tenants importing the same code
+    # share one compiled code object, which a per-tenant execution
+    # count cannot see.  A snapshot-loaded translation runs from the
+    # warm run's first call, so most cross the compile threshold anyway
+    # and the VLIW rent before it buys nothing.
+    imported: bool = field(default=False, repr=False)
     # MMU mapping epoch at which all of this translation's code pages
     # were last verified identity-mapped (CMS dispatch cache; runtime
     # only, never persisted — -1 means "never verified").

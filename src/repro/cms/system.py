@@ -299,6 +299,7 @@ class CodeMorphingSystem:
         fresh one: tcache insert, fine-grain protection, page-index
         recompute.  Chain patches were not persisted; the dispatcher
         re-establishes them lazily on first exit, as after a flush."""
+        translation.imported = True
         self.tcache.insert(translation)
         self.smc.protect_translation(translation)
         for page in translation.pages():

@@ -41,11 +41,16 @@ class DialVariant:
     saves a warm-start snapshot, then a warm run that reloads it — and
     differentially checks the *warm* outcome, so the persistence layer
     (PR 5) sits inside the fuzzing oracle.
+
+    Every variant compiles templates on first entry, since at the
+    runtime compile threshold (``host/jit.py``) few short programs would
+    run any template code at all; ``lazy_jit`` keeps the threshold.
     """
 
     name: str
     config: CMSConfig
     snapshot_roundtrip: bool = False
+    lazy_jit: bool = False
 
 
 def default_matrix() -> tuple[DialVariant, ...]:
@@ -96,6 +101,12 @@ def default_matrix() -> tuple[DialVariant, ...]:
                     replace(_BASE, trace_hot_molecules=16,
                             trace_max_blocks=8, trace_min_reach=0.05,
                             trace_mispredict_threshold=4)),
+        # Template staging at the runtime compile threshold: a
+        # translation starts on the simulated VLIW, its exits chain
+        # through the JIT driver, and once hot it switches to its
+        # template mid-dispatch.  (Appended last so the chaos seeds
+        # derived from each variant's index stay put.)
+        DialVariant("lazy-jit", _BASE, lazy_jit=True),
     )
 
 
@@ -144,16 +155,19 @@ class RunOutcome:
 
 def execute(program: FuzzProgram, config: CMSConfig,
             max_instructions: int = 400_000,
-            cms_factory=None) -> RunOutcome:
+            cms_factory=None, lazy_jit: bool = False) -> RunOutcome:
     """Run one program to completion under one configuration.
 
     ``cms_factory``, when given, is called with the freshly built
     ``CodeMorphingSystem`` before the run starts — the hook the
-    broken-dial tests use to sabotage one engine.
+    broken-dial tests use to sabotage one engine.  Templates compile on
+    first entry unless ``lazy_jit`` (see ``DialVariant``).
     """
     machine = Machine()
     entry = machine.load_source(program.source)
     system = CodeMorphingSystem(machine, config)
+    if system.jit is not None and not lazy_jit:
+        system.jit.compile_passes = 0
     if cms_factory is not None:
         cms_factory(system)
     if program.plan is not None:
@@ -179,7 +193,8 @@ def execute(program: FuzzProgram, config: CMSConfig,
 
 def execute_roundtrip(program: FuzzProgram, config: CMSConfig,
                       max_instructions: int = 400_000,
-                      cms_factory=None) -> RunOutcome:
+                      cms_factory=None,
+                      lazy_jit: bool = False) -> RunOutcome:
     """Run cold (saving a snapshot), then warm (reloading it).
 
     The warm run starts from a fresh machine, so every persisted
@@ -197,11 +212,11 @@ def execute_roundtrip(program: FuzzProgram, config: CMSConfig,
     try:
         execute(program,
                 replace(config, snapshot_path=path, snapshot_save=True),
-                max_instructions, cms_factory)
+                max_instructions, cms_factory, lazy_jit)
         return execute(program,
                        replace(config, snapshot_path=path,
                                snapshot_save=False),
-                       max_instructions, cms_factory)
+                       max_instructions, cms_factory, lazy_jit)
     finally:
         if os.path.exists(path):
             os.unlink(path)
@@ -269,7 +284,7 @@ def run_differential(program: FuzzProgram,
         runner = execute_roundtrip if variant.snapshot_roundtrip \
             else execute
         cms = runner(program, variant.config, max_instructions,
-                     cms_factory=cms_factory)
+                     cms_factory=cms_factory, lazy_jit=variant.lazy_jit)
         diffs = compare(ref, cms)
         if diffs:
             mismatches.append(Mismatch(program, variant, diffs))

@@ -43,6 +43,7 @@ class ExitKind(enum.Enum):
     INTERRUPT = enum.auto()  # pending interrupt at a molecule boundary
     FAULT = enum.auto()  # a host fault fired (CMS must roll back)
     FUEL = enum.auto()  # molecule budget exhausted mid-translation
+    HOT = enum.auto()  # cold mode: turned hot at a taken branch (resume_pc)
 
 
 @dataclass
@@ -56,6 +57,7 @@ class ExitInfo:
     molecules: int = 0
     chains_followed: int = 0
     translations_entered: list = field(default_factory=list)
+    resume_pc: int | None = None  # HOT: the molecule to continue from
 
 
 class HostCPU:
@@ -146,7 +148,8 @@ class HostCPU:
     # ------------------------------------------------------------------
 
     def run(self, translation, fuel: int = 1_000_000,
-            start_pc: int | None = None) -> ExitInfo:
+            start_pc: int | None = None,
+            hot_at: int | None = None) -> ExitInfo:
         """Execute ``translation`` until exit, fault, or interrupt.
 
         Follows chained exits directly into successor translations
@@ -155,6 +158,14 @@ class HostCPU:
         ``rollback`` before touching guest state.  ``start_pc`` resumes
         mid-translation at an explicit molecule index (used by the
         template JIT to hand back control at the exact point it bailed).
+
+        ``hot_at`` selects the cold mode the template JIT runs a
+        translation in before it has a template.  Chained exits are
+        returned, not followed, so the JIT driver can enter a hot
+        successor's template.  Once the translation's lifetime
+        ``executions_molecules`` reaches ``hot_at``, the run stops at
+        the next taken branch with ``ExitKind.HOT``; ``resume_pc`` is
+        the branch target, where the template takes over.
         """
         info = ExitInfo(kind=ExitKind.EXITED)
         current = translation
@@ -168,7 +179,7 @@ class HostCPU:
 
         try:
             self._run_loop(info, current, pc, molecules, fuel,
-                           start_molecules, pending_ok)
+                           start_molecules, pending_ok, hot_at)
         finally:
             self.current_translation = None
 
@@ -177,7 +188,7 @@ class HostCPU:
         return info
 
     def _run_loop(self, info, current, pc, molecules, fuel,
-                  start_molecules, pending_ok) -> None:
+                  start_molecules, pending_ok, hot_at) -> None:
         while True:
             if pending_ok():
                 info.kind = ExitKind.INTERRUPT
@@ -213,7 +224,8 @@ class HostCPU:
                 break
             if exit_atom is not None:
                 chained = exit_atom.chained_translation
-                if chained is not None and not pending_ok():
+                if chained is not None and hot_at is None and \
+                        not pending_ok():
                     # Direct exits chain unconditionally; indirect exits
                     # only through their inline-cache guard (§2's
                     # chaining, extended to computed targets).
@@ -233,6 +245,11 @@ class HostCPU:
                         continue
                 info.kind = ExitKind.EXITED
                 info.exit_atom = exit_atom
+                break
+            if hot_at is not None and next_pc != pc + 1 and \
+                    current.executions_molecules >= hot_at:
+                info.kind = ExitKind.HOT
+                info.resume_pc = next_pc
                 break
             pc = next_pc
 

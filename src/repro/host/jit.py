@@ -5,9 +5,18 @@ The simulated VLIW in :mod:`repro.host.cpu` walks molecule and atom
 if-ladder) per atom.  That interpretive overhead — not the guest — is
 what kept the translated path slower than the interpreter in
 ``BENCH_wallclock.json``.  This module removes it: each committed
-translation is lowered once into a specialized Python function
-(``exec``-compiled, constants folded, the RAM fast path inlined) whose
-straight-line statements *are* the molecule sequence.
+translation that stays hot is lowered once into a specialized Python
+function (``exec``-compiled, constants folded, the RAM fast path
+inlined) whose straight-line statements *are* the molecule sequence.
+
+A compile costs about as much as thirty passes of the translation on
+the simulated VLIW, and most translations that live past a few passes
+live far longer, so a translation is compiled only once it has run
+``JIT_COMPILE_PASSES`` passes of its own length there — the paper's
+interpret-then-translate staging (§2, Figure 1), one tier up.  A loop
+switches to its template at the taken branch where it crossed the
+threshold, mid-dispatch.  Translations imported from a snapshot or a
+fleet share compile on first entry instead.
 
 Semantics are bit-identical to ``HostCPU.run`` by construction:
 
@@ -46,6 +55,20 @@ from repro.memory.physical import PAGE_SHIFT
 
 MASK32 = 0xFFFFFFFF
 SIGN32 = 0x80000000
+
+# Passes of its own length a translation runs on the simulated VLIW
+# before its template is compiled (``TemplateJIT.compile_passes``).
+# Measured (EXPERIMENTS.md, "Compiling only hot translations"): a first
+# compile costs C = 167–238 µs per static molecule, and the VLIW costs
+# Δ = 4.9–8.1 µs more than a template per executed molecule, so the
+# worst-case (ski-rental) break-even C/Δ is about 32 passes.  Lifetimes
+# are bimodal — most translations die within a few passes or live far
+# past 32 — so rent paid beyond the first few passes mostly buys
+# nothing.  8 minimizes the modelled cost over the four workloads of
+# benchmarks/e2e, and was then checked on traffic outside them: against 32
+# it won 182 of 210 timed pairs on the 30 other bundled workloads and
+# 23 of 35 on the five scenario classes, and it tied compile-on-entry.
+JIT_COMPILE_PASSES = 8
 
 # Generated-function status codes (first element of the return tuple).
 _EXIT = 0  # an EXIT atom finished its molecule; aux = the exit atom
@@ -449,19 +472,43 @@ def compile_translation(translation, cpu, stats=None):
 
 
 class TemplateJIT:
-    """Compiles translations lazily and dispatches their templates.
+    """Compiles translations once they are hot and dispatches their
+    templates.
 
     One instance per :class:`CodeMorphingSystem`; ``run`` has the exact
     contract of ``HostCPU.run`` (same ``ExitInfo``, same counters, same
     chain following) and bails out to the simulated VLIW for anything
     the template could not lower.
+
+    The paper's staging rule (§2, Figure 1), one tier up: a translation
+    runs on the simulated VLIW, in its cold mode, until its lifetime
+    ``executions_molecules`` reaches ``compile_passes`` times its
+    length, and is compiled then — at entry, or at the taken branch
+    where the cold run crossed the threshold, so a loop switches to its
+    template mid-dispatch.  Both engines share every register, buffer
+    and counter, so the switch is invisible to everything but host
+    seconds.  ``compile_passes == 0`` compiles on first entry, and so
+    does an imported translation (``Translation.imported``).
     """
+
+    compile_passes = JIT_COMPILE_PASSES
 
     def __init__(self, cpu, stats=None, phases=None) -> None:
         self.cpu = cpu
         self.stats = stats
         self.phases = phases
         self._uncompilable: set[int] = set()  # translation ids
+
+    def hot_at(self, translation) -> int:
+        """Lifetime molecules after which ``translation`` is compiled."""
+        if translation.imported:
+            return 0
+        return self.compile_passes * translation.num_molecules
+
+    def is_cold(self, translation) -> bool:
+        """No template yet, and not yet worth compiling one."""
+        return translation.host_code is None and \
+            translation.executions_molecules < self.hot_at(translation)
 
     def ensure_compiled(self, translation):
         """Compile (or fetch) the translation's template function."""
@@ -526,54 +573,75 @@ class TemplateJIT:
     def _run_loop(self, info, current, fuel, start, pending, shadow,
                   merge) -> None:
         cpu = self.cpu
+        pc = current.labels[current.entry_label]
         while True:
             cpu.current_translation = current
+            left = fuel - (cpu.molecules_executed - start)
             fn = current.host_code
-            if fn is None:
-                fn = self.ensure_compiled(current)
-            if fn is None:
-                self._bail("uncompilable")
-                merge(cpu.run(current,
-                              fuel=fuel - (cpu.molecules_executed - start)))
-                break
-            try:
-                status, aux = fn(
-                    fuel - (cpu.molecules_executed - start),
-                    current.labels[current.entry_label],
-                )
-            except HostFaultError as error:
-                info.kind = ExitKind.FAULT
-                info.fault = error.fault
-                self._bail("fault-" + error.fault.kind.name.lower())
-                break
-            if status == _EXIT:
-                atom = aux
-                chained = atom.chained_translation
-                if chained is not None and not pending():
-                    if atom.exit_target is not None or \
-                            atom.chained_guard == shadow[R_EIP]:
-                        current = chained
-                        info.chains_followed += 1
-                        info.translations_entered.append(current)
-                        current.entries += 1
-                        continue
-                info.kind = ExitKind.EXITED
-                info.exit_atom = atom
-                break
-            if status == _INTERRUPT:
-                info.kind = ExitKind.INTERRUPT
-                cpu.interrupt_exits += 1
-                self._bail("interrupt")
-                break
-            if status == _FUEL:
-                info.kind = ExitKind.FUEL
-                self._bail("fuel")
-                break
-            # _RESUME: the template ran off its arms (a malformed
-            # translation); the VLIW resumes from that exact molecule
-            # and reproduces whatever the seed path would have done.
-            self._bail("resume")
-            merge(cpu.run(current,
-                          fuel=fuel - (cpu.molecules_executed - start),
-                          start_pc=aux))
+            if fn is None and self.is_cold(current):
+                sub = cpu.run(current, fuel=left, start_pc=pc,
+                              hot_at=self.hot_at(current))
+                if sub.kind is ExitKind.HOT:
+                    pc = sub.resume_pc
+                    if current.valid:
+                        continue  # hot now: compiled on the next pass
+                    # Invalidated during its cold run: never compiled;
+                    # the VLIW finishes the dispatch.
+                    merge(cpu.run(current, fuel=left - sub.molecules,
+                                  start_pc=pc))
+                    break
+                merge(sub)
+                if sub.kind is not ExitKind.EXITED:
+                    break
+                atom = sub.exit_atom
+            else:
+                if fn is None:
+                    fn = self.ensure_compiled(current)
+                if fn is None:
+                    self._bail("uncompilable")
+                    merge(cpu.run(current, fuel=left, start_pc=pc))
+                    break
+                try:
+                    status, aux = fn(left, pc)
+                except HostFaultError as error:
+                    info.kind = ExitKind.FAULT
+                    info.fault = error.fault
+                    self._bail("fault-" + error.fault.kind.name.lower())
+                    break
+                if status == _EXIT:
+                    atom = aux
+                elif status == _INTERRUPT:
+                    info.kind = ExitKind.INTERRUPT
+                    cpu.interrupt_exits += 1
+                    self._bail("interrupt")
+                    break
+                elif status == _FUEL:
+                    info.kind = ExitKind.FUEL
+                    self._bail("fuel")
+                    break
+                else:
+                    # _RESUME: the template ran off its arms (a malformed
+                    # translation); the VLIW resumes from that exact
+                    # molecule and reproduces whatever the seed path
+                    # would have done.
+                    self._bail("resume")
+                    merge(cpu.run(current,
+                                  fuel=fuel - (cpu.molecules_executed
+                                               - start),
+                                  start_pc=aux))
+                    break
+            # An exit from either engine: follow its chain here, so a
+            # hot successor enters its own template.
+            chained = atom.chained_translation
+            if chained is not None and not pending():
+                if atom.exit_target is not None or \
+                        atom.chained_guard == shadow[R_EIP]:
+                    current = chained
+                    pc = current.labels[current.entry_label]
+                    info.chains_followed += 1
+                    info.translations_entered.append(current)
+                    current.entries += 1
+                    continue
+            info.kind = ExitKind.EXITED
+            info.exit_atom = atom
             break

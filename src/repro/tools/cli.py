@@ -206,6 +206,7 @@ def _top_offline(args: argparse.Namespace) -> int:
 
 def cmd_top(args: argparse.Namespace) -> int:
     """Per-region hot-spot ranking (runs with observability forced on)."""
+    from repro.cms.degrade import Tier
     from repro.cms.system import CodeMorphingSystem
 
     if args.session or args.snapshot:
@@ -229,17 +230,23 @@ def cmd_top(args: argparse.Namespace) -> int:
     print(f"{'entry':>10} {'instructions':>13} {'molecules':>11} "
           f"{'dispatches':>10} {'faults':>7} {'trans':>6} {'jit':>4} tier")
     for region in obs.hotspots.top(args.count, args.sort):
-        tier = system.degrade.tier_of(region.entry_eip).name
+        tier = system.degrade.tier_of(region.entry_eip)
         # "yes" = a template-JIT function is resident for the region's
-        # current translation; "-" = VLIW-only (dial off, degraded tier,
-        # uncompilable, or the translation was invalidated).
+        # current translation; "cold" = it runs on the simulated VLIW
+        # until it crosses the compile threshold (host/jit.py);
+        # "-" = VLIW-only (dial off, degraded tier, uncompilable, or
+        # the translation was invalidated).
         resident = system.tcache.lookup(region.entry_eip)
-        jit = "yes" if resident is not None and \
-            resident.host_code is not None else "-"
+        jit = "-"
+        if resident is not None and resident.host_code is not None:
+            jit = "yes"
+        elif resident is not None and system.jit is not None and \
+                tier is Tier.AGGRESSIVE and system.jit.is_cold(resident):
+            jit = "cold"
         print(f"{region.entry_eip:>#10x} {region.instructions:>13} "
               f"{region.molecules:>11} {region.dispatches:>10} "
               f"{region.faults:>7} {region.translations:>6} {jit:>4} "
-              f"{tier}")
+              f"{tier.name}")
     print(f"{'(interp)':>10} {obs.hotspots.interp_instructions:>13} "
           f"{'-':>11} {'-':>10} {'-':>7} {'-':>6} {'-':>4} "
           f"untranslated pool")

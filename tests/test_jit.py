@@ -5,16 +5,21 @@ run must be molecule-identical and architecturally identical — the
 generated Python only replaces the simulated VLIW's per-atom dispatch,
 never what executes.  These tests pin that contract on the edges where
 it is easiest to break: mid-translation faults, alias bailouts, SMC
-invalidation, fuel exhaustion, and compile failure.
+invalidation, fuel exhaustion, compile failure, and compile staging
+(cold translations on the simulated VLIW switching to their template).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from conftest import assert_equivalent, run_cms
-from repro import CMSConfig
+from repro import CMSConfig, CodeMorphingSystem, Machine
+from repro.cache import persist
 from repro.host import jit as jit_module
+from repro.host.cpu import ExitKind
 from repro.workloads import get_workload, run_workload
 
 FAST = CMSConfig(translation_threshold=4, fault_threshold=2)
@@ -75,10 +80,18 @@ def _dial_invisible_stats(stats) -> dict:
             if not name.startswith("jit_")}
 
 
-def _assert_dial_invisible(source: str, config: CMSConfig) -> tuple:
+def _assert_dial_invisible(source: str, config: CMSConfig):
     """Run ``source`` with the JIT on and off; everything but the JIT's
-    own counters must be identical, bit for bit."""
+    own counters must be identical, bit for bit.  Returns the JIT-on
+    system."""
     on_system, on_result = run_cms(source, config)
+    _assert_same_as_vliw(source, config, on_system, on_result)
+    return on_system
+
+
+def _assert_same_as_vliw(source: str, config: CMSConfig, on_system,
+                         on_result):
+    """A JIT-on run must equal the same program run with the JIT off."""
     off_system, off_result = run_cms(source, replace(config,
                                                      template_jit=False))
     assert on_result.halted and off_result.halted
@@ -91,18 +104,17 @@ def _assert_dial_invisible(source: str, config: CMSConfig) -> tuple:
     assert _dial_invisible_stats(on_system.stats) == \
         _dial_invisible_stats(off_system.stats)
     assert off_system.stats.jit_dispatches == 0
-    return on_system, off_system
 
 
 class TestDialInvisibility:
     def test_hot_loop_molecule_identical(self):
-        on_system, _ = _assert_dial_invisible(HOT_LOOP, FAST)
+        on_system = _assert_dial_invisible(HOT_LOOP, FAST)
         assert on_system.stats.jit_dispatches > 0
         assert on_system.stats.jit_compiles > 0
         assert on_system.stats.jit_compile_failures == 0
 
     def test_smc_loop_molecule_identical(self):
-        on_system, _ = _assert_dial_invisible(SMC_LOOP, FAST)
+        on_system = _assert_dial_invisible(SMC_LOOP, FAST)
         assert on_system.stats.smc_invalidations >= 1
 
     def test_equivalent_to_interpreter(self):
@@ -110,8 +122,15 @@ class TestDialInvisibility:
         assert both.cms_system.stats.jit_dispatches > 0
 
 
+@pytest.fixture
+def eager_jit(monkeypatch):
+    """Compile on first entry, so faults are raised out of template
+    code."""
+    monkeypatch.setattr(jit_module.TemplateJIT, "compile_passes", 0)
+
+
 class TestFaultBailouts:
-    def test_mid_translation_fault_rolls_back_exactly(self):
+    def test_mid_translation_fault_rolls_back_exactly(self, eager_jit):
         # The SMC store faults mid-translation out of JIT-generated
         # code; interpreter equivalence (registers, RAM, console)
         # proves the rollback restored the exact pre-dispatch state.
@@ -124,7 +143,7 @@ class TestFaultBailouts:
             f"no fault bailouts recorded: {dict(stats.jit_bailouts)}"
         )
 
-    def test_alias_check_bailout(self):
+    def test_alias_check_bailout(self, eager_jit):
         workload = get_workload("alias_stress")
         on = run_workload(workload, FAST)
         off = run_workload(workload, NO_JIT)
@@ -144,7 +163,7 @@ class TestFaultBailouts:
 
     def test_fuel_exhaustion_mid_jit_block(self):
         config = replace(FAST, dispatch_fuel_molecules=8)
-        on_system, _ = _assert_dial_invisible(HOT_LOOP, config)
+        on_system = _assert_dial_invisible(HOT_LOOP, config)
         assert on_system.stats.jit_bailouts["fuel"] >= 1
         assert on_system.stats.fuel_exits >= 1
 
@@ -216,3 +235,231 @@ class TestFallbacks:
         # The callable is process-local: never persisted, rebuilt on
         # first dispatch of the reloaded translation.
         assert warm_system.stats.jit_compiles >= 1
+
+
+# Three procedures, each called a few times past the translation
+# threshold: translated, but never hot enough to pay for a template.
+PROCEDURES = """
+start:
+    mov esp, 0x8000
+    mov esi, 0
+    mov edi, 0
+again:
+    call p0
+    call p1
+    call p2
+    inc edi
+    cmp edi, 8
+    jne again
+    cli
+    hlt
+p0:
+    add esi, 3
+    xor esi, 0x55
+    ret
+p1:
+    imul esi, 5
+    add esi, edi
+    ret
+p2:
+    rol esi, 7
+    sub esi, 11
+    ret
+"""
+
+# The inner loop's translation turns hot in its first dispatch; the
+# outer loop's region ends with a direct exit into it and stays cold.
+NESTED_LOOPS = """
+start:
+    mov esi, 0
+    mov edi, 0
+outer:
+    mov ecx, 0
+inner:
+    add esi, ecx
+    inc ecx
+    cmp ecx, 50
+    jne inner
+    inc edi
+    cmp edi, 12
+    jne outer
+    cli
+    hlt
+"""
+
+
+class _EngineLog:
+    """Spy on one system's engines: for every JIT dispatch, its
+    ``ExitInfo`` and the simulated-VLIW runs made inside it, as
+    ``(translation, run kwargs, ExitInfo)``."""
+
+    def __init__(self, system) -> None:
+        self.dispatches: list[tuple] = []
+        self._runs: list[tuple] = []
+        cpu_run = system.cpu.run
+        jit_run = system.jit.run
+
+        def vliw(translation, **kwargs):
+            info = cpu_run(translation, **kwargs)
+            self._runs.append((translation, kwargs, info))
+            return info
+
+        def dispatch(translation, **kwargs):
+            self._runs = []
+            info = jit_run(translation, **kwargs)
+            self.dispatches.append((info, self._runs))
+            return info
+
+        system.cpu.run = vliw
+        system.jit.run = dispatch
+
+
+def _spied_run(source: str, config: CMSConfig = FAST, setup=None):
+    machine = Machine()
+    entry = machine.load_source(source)
+    system = CodeMorphingSystem(machine, config)
+    log = _EngineLog(system)
+    if setup is not None:
+        setup(system)
+    result = system.run(entry)
+    return system, result, log
+
+
+class TestStagedCompilation:
+    """Templates are compiled only once a translation is hot
+    (``TemplateJIT.compile_passes``); until then it runs on the simulated VLIW
+    and switches to its template mid-dispatch."""
+
+    def test_lukewarm_procedures_never_compile(self):
+        on_system = _assert_dial_invisible(PROCEDURES, FAST)
+        stats = on_system.stats
+        assert stats.jit_dispatches > 0
+        assert stats.guest_instructions_translated > 0
+        assert stats.jit_compiles == 0
+        assert all(t.host_code is None
+                   for t in on_system.tcache.translations())
+
+    def test_loop_switches_to_its_template_mid_dispatch(self):
+        system, result, log = _spied_run(HOT_LOOP)
+        _assert_same_as_vliw(HOT_LOOP, FAST, system, result)
+        loop = max(system.tcache.translations(),
+                   key=lambda t: t.executions_molecules)
+        assert loop.loop_trace and loop.entries == 1
+        [(info, runs)] = [entry for entry in log.dispatches
+                          if entry[0].translations_entered[0] is loop]
+        # One cold VLIW run, stopped at the back-edge once hot...
+        [(translation, kwargs, cold)] = runs
+        assert translation is loop
+        assert kwargs["hot_at"] == system.jit.hot_at(loop)
+        assert cold.kind is ExitKind.HOT
+        assert cold.resume_pc in loop.labels.values()
+        # ...then the template, compiled there, ran the loop to its exit.
+        assert loop.host_code is not None
+        assert system.stats.jit_compiles == 1
+        assert info.kind is ExitKind.EXITED
+        assert cold.molecules < system.jit.hot_at(loop) + \
+            loop.num_molecules < info.molecules
+
+    def test_cold_exit_chains_into_hot_template(self):
+        system, result, log = _spied_run(NESTED_LOOPS)
+        _assert_same_as_vliw(NESTED_LOOPS, FAST, system, result)
+        handoffs = 0
+        for info, runs in log.dispatches:
+            cold = {id(t) for t, kwargs, _ in runs
+                    if kwargs.get("hot_at") is not None}
+            on_vliw = {id(t) for t, _, _ in runs}
+            entered = info.translations_entered
+            for source, target in zip(entered, entered[1:]):
+                if id(source) in cold and id(target) not in on_vliw:
+                    assert target.host_code is not None
+                    handoffs += 1
+        assert handoffs > 0
+
+    def test_translation_invalidated_mid_cold_run_never_compiles(
+            self, monkeypatch):
+        compiled = []
+        real_compile = jit_module.compile_translation
+
+        def compile_spy(translation, cpu, stats=None):
+            compiled.append(translation)
+            return real_compile(translation, cpu, stats)
+
+        monkeypatch.setattr(jit_module, "compile_translation", compile_spy)
+        victims = []
+
+        def invalidate_mid_run(system):
+            cpu = system.cpu
+            commit = cpu.commit
+
+            def commit_then_invalidate(instr_count=0):
+                commit(instr_count)
+                current = cpu.current_translation
+                if victims or current is None or \
+                        current.host_code is not None or \
+                        2 * current.executions_molecules < \
+                        system.jit.hot_at(current):
+                    return
+                # What an SMC or DMA invalidation does to the code of
+                # the translation running on the VLIW.
+                system.tcache.invalidate_translation(current)
+                for page in current.pages():
+                    system.smc.recompute_page(page)
+                victims.append(current)
+
+            cpu.commit = commit_then_invalidate
+
+        system, result, log = _spied_run(HOT_LOOP,
+                                         setup=invalidate_mid_run)
+        [victim] = victims
+        assert not victim.valid
+        assert all(t is not victim for t in compiled)
+        # The VLIW finished the dispatch from where the cold run
+        # turned hot.
+        [runs] = [runs for _, runs in log.dispatches
+                  if runs and runs[0][0] is victim]
+        (_, _, cold), (again, kwargs, _) = runs
+        assert cold.kind is ExitKind.HOT
+        assert again is victim and kwargs.get("hot_at") is None
+        assert kwargs["start_pc"] == cold.resume_pc
+        reference, ref_result = run_cms(HOT_LOOP, FAST.interpreter_only())
+        assert result.halted and ref_result.halted
+        assert system.state.snapshot() == reference.state.snapshot()
+
+    def test_loaded_translation_compiles_on_first_dispatch(
+            self, tmp_path, monkeypatch):
+        path = str(tmp_path / "snap.json")
+        cold = replace(FAST, snapshot_path=path, snapshot_save=True)
+        cold_system, cold_result = run_cms(PROCEDURES, cold)
+        cold_system.shutdown()
+        assert cold_system.stats.jit_compiles == 0  # all lukewarm
+        compiled_after = {}  # translation id -> molecules run before
+        real_compile = jit_module.compile_translation
+
+        def compile_spy(translation, cpu, stats=None):
+            compiled_after[translation.id] = translation.executions_molecules
+            return real_compile(translation, cpu, stats)
+
+        monkeypatch.setattr(jit_module, "compile_translation", compile_spy)
+        warm_system, warm_result = run_cms(
+            PROCEDURES, replace(FAST, snapshot_path=path))
+        assert warm_result.console_output == cold_result.console_output
+        entered = [t for t in warm_system.tcache.translations()
+                   if t.imported and t.entries]
+        assert entered
+        for translation in entered:
+            # Compiled before its first molecule ran: a fleet tenant
+            # may share the code object another tenant already paid for.
+            assert compiled_after[translation.id] == 0
+            assert translation.host_code is not None
+            assert "imported" not in persist.encode_translation(
+                translation)
+
+    def test_fuel_exhaustion_across_template_switch(self):
+        config = replace(FAST, dispatch_fuel_molecules=60)
+        system, result, log = _spied_run(HOT_LOOP, config)
+        _assert_same_as_vliw(HOT_LOOP, config, system, result)
+        switched = [info for info, runs in log.dispatches
+                    if runs and runs[-1][2].kind is ExitKind.HOT]
+        assert switched
+        assert all(info.kind is ExitKind.FUEL for info in switched)
+        assert system.stats.jit_bailouts["fuel"] >= len(switched)

@@ -103,6 +103,19 @@ class TestCLI:
         with pytest.raises(KeyError):
             main(["run", "nosuchworkload"])
 
+    def test_top_marks_translations_below_compile_threshold(self,
+                                                            capsys):
+        # dos_boot: two hot loop traces get templates, the rest of its
+        # translations never cross the compile threshold.
+        assert main(["top", "dos_boot", "--count", "20"]) == 0
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()
+                if line.strip().startswith("0x")]
+        jit_column = {row[-2] for row in rows}
+        assert {"yes", "cold"} <= jit_column
+        assert all(row[-1] == "AGGRESSIVE" for row in rows
+                   if row[-2] == "cold")
+
 
 class TestSnapshotCLI:
     """PR 5: the snapshot subcommand and offline top/health modes."""
