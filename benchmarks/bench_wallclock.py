@@ -28,7 +28,7 @@ hard floors; ``fast_bus_routing`` and ``fast_dispatch`` buy only a few
 percent at workload scale — below run-to-run noise — so their rows
 gate at "never hurts" (>= 0.9 best-of-3) and the routing win is
 instead asserted deterministically by a mechanism-level
-micro-benchmark (bisect + RAM-limit short-circuit vs the seed's linear
+micro-benchmark (bisect + RAM-run short-circuit vs the seed's linear
 scan over a mixed RAM/MMIO address sample).
 
 Superblock traces change the comparison's character: unlike the host
@@ -83,7 +83,13 @@ ROWS = [
 ]
 INTERP_DOMINATED = ("quake_demo2", True)
 
-MIN_SPEEDUP = 2.0  # interp-dominated row, optimized vs seed paths
+# Interp-dominated row, optimized vs seed paths.  The seed side runs
+# with every dial off, so it includes the bus's linear region scan
+# (``fast_bus_routing=False``); with bisect routing made unconditional
+# the same full run read 1.92-2.20x (EXPERIMENTS.md, "Block device
+# writes and RAM runs").  Deleting that dial first means redefining
+# this reference.
+MIN_SPEEDUP = 2.0
 MIN_CMS_SPEEDUP = 1.0  # every workload: CMS path vs interpreter-only
 
 # Per-dial ablation: (dial, workload, interp_only?, min slowdown_without).
@@ -276,7 +282,7 @@ def _trace_compare(budget: int | None) -> dict:
 
 def _routing_micro() -> dict:
     """Mechanism-level gate for ``fast_bus_routing``: the bisect +
-    RAM-limit routing must beat the seed's linear region scan on a
+    RAM-run routing must beat the seed's linear region scan on a
     mixed RAM/MMIO address sample.  Deterministic where the workload
     ablation is percent-level noise."""
     from repro.machine import Machine

@@ -296,14 +296,13 @@ class CodeMorphingSystem:
 
     def register_loaded_translation(self, translation: Translation) -> None:
         """Admit a snapshot-revalidated translation exactly like a
-        fresh one: tcache insert, fine-grain protection, page-index
-        recompute.  Chain patches were not persisted; the dispatcher
+        fresh one: tcache insert and fine-grain protection (which ORs
+        its granules into the page masks; only departures rebuild a
+        mask).  Chain patches were not persisted; the dispatcher
         re-establishes them lazily on first exit, as after a flush."""
         translation.imported = True
         self.tcache.insert(translation)
         self.smc.protect_translation(translation)
-        for page in translation.pages():
-            self.smc.recompute_page(page)
         self.stats.snapshot_translations_loaded += 1
         self.bus.record(Event.SNAPSHOT_LOAD, translation.entry_eip)
 
@@ -534,10 +533,13 @@ class CodeMorphingSystem:
             # Committed work only: instructions_retired ticks at commit
             # and this reading precedes any rollback below, so faulted
             # (uncommitted) progress is never attributed to the region.
+            # The dispatch belongs to the translation entered here; each
+            # chained successor is credited its own molecules.
             obs.note_dispatch(
-                current.entry_eip,
+                translation.entry_eip,
                 machine.instructions_retired - retired_before,
                 self.cpu.molecules_executed - molecules_before,
+                exit_info.translations_entered,
             )
 
         if exit_info.kind is ExitKind.EXITED:
@@ -841,9 +843,9 @@ class CodeMorphingSystem:
         if translation is None:
             return None
         self.tcache.insert(translation)
+        # Insertion only adds granules, and protect_translation ORs them
+        # in; the masks are rebuilt where a translation leaves.
         self.smc.protect_translation(translation)
-        for page in translation.pages():
-            self.smc.recompute_page(page)
         self.stats.translations_made += 1
         self.stats.guest_instructions_translated += \
             translation.guest_instr_count

@@ -3,7 +3,11 @@
 Used by the boot workloads to model the "paging virtual memory" traffic
 of §3.6.1: a disk read lands in RAM through the bus, so (like DMA) its
 writes are seen by CMS's store observer and invalidate any translations
-on the destination pages.
+on the destination pages.  Each tick moves up to ``BYTES_PER_TICK``
+bytes as one ``MemoryBus.write_block``, so the observers run once per
+page the chunk touches rather than once per byte; a chunk that reaches
+MMIO or leaves RAM is replayed byte by byte, exactly as single-byte
+writes would land.
 
 Port map (defaults): 0x60 sector, 0x61 destination address,
 0x62 sector count, 0x63 control/status (write 1 to start; reads 1 while
@@ -59,17 +63,23 @@ class Disk:
                        writer=self._control)
 
     def tick(self, instructions: int) -> None:
+        """Move up to BYTES_PER_TICK bytes of the current read.
+
+        A #GP from the bus (the destination left RAM) propagates with
+        this tick's chunk not yet counted in the device's registers.
+        """
         if not self.busy:
             return
         budget = min(self._remaining, self.BYTES_PER_TICK)
-        for _ in range(budget):
-            value = self._image[self._cursor] if self._cursor < len(
-                self._image) else 0
-            self._bus.write(self.dest, value, 1)
-            self._cursor += 1
-            self.dest += 1
-            self._remaining -= 1
-            self.bytes_read += 1
+        cursor = self._cursor
+        chunk = bytes(self._image[cursor:cursor + budget])
+        if len(chunk) < budget:  # reads beyond the image are zeros
+            chunk += bytes(budget - len(chunk))
+        self._bus.write_block(self.dest, chunk)
+        self._cursor += budget
+        self.dest += budget
+        self._remaining -= budget
+        self.bytes_read += budget
         if self._remaining == 0:
             self.busy = False
             self.reads_completed += 1

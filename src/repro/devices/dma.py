@@ -4,7 +4,13 @@ Paper §3.6.1: "In order to avoid excessive processing for the common
 case of paging virtual memory, DMA writes to a protected page invalidate
 all translations for the page."  The DMA engine writes through the
 memory bus, so the CMS's bus store-observer sees every byte it moves and
-applies exactly that page-invalidation rule.
+applies exactly that page-invalidation rule.  When a tick's source and
+destination spans both lie in RAM runs, the chunk is read as one block
+and written with one ``MemoryBus.write_block`` (observers run once per
+page touched).  Otherwise — an MMIO or out-of-RAM span, or a forward
+overlap (0 < dest - source < chunk) where a byte-wise copy re-reads
+bytes it has just written and so repeats its first dest - source
+bytes — the tick keeps the byte-interleaved read/write loop.
 
 Port map (defaults): 0x50 source, 0x51 destination, 0x52 length,
 0x53 control/status (write 1 to start; reads 1 while busy).  MMIO
@@ -50,14 +56,24 @@ class DMAController:
         """Move up to BYTES_PER_TICK per instruction-time tick."""
         if not self.busy:
             return
+        bus = self._bus
         budget = min(self._remaining, self.BYTES_PER_TICK)
-        for _ in range(budget):
-            value = self._bus.read(self.source, 1)
-            self._bus.write(self.dest, value, 1)
-            self.source += 1
-            self.dest += 1
-            self._remaining -= 1
-            self.bytes_copied += 1
+        source, dest = self.source, self.dest
+        if bus.in_ram_run(source, budget) and bus.in_ram_run(dest, budget) \
+                and not 0 < dest - source < budget:
+            bus.write_block(dest, bus.ram.read_bytes(source, budget))
+            self.source += budget
+            self.dest += budget
+            self._remaining -= budget
+            self.bytes_copied += budget
+        else:
+            for _ in range(budget):
+                value = bus.read(self.source, 1)
+                bus.write(self.dest, value, 1)
+                self.source += 1
+                self.dest += 1
+                self._remaining -= 1
+                self.bytes_copied += 1
         if self._remaining == 0:
             self.busy = False
             self.transfers_completed += 1

@@ -7,7 +7,8 @@ what kept the translated path slower than the interpreter in
 ``BENCH_wallclock.json``.  This module removes it: each committed
 translation that stays hot is lowered once into a specialized Python
 function (``exec``-compiled, constants folded, the RAM fast path
-inlined) whose straight-line statements *are* the molecule sequence.
+inlined over every RAM run of the bus) whose straight-line statements
+*are* the molecule sequence.
 
 A compile costs about as much as thirty passes of the translation on
 the simulated VLIW, and most translations that live past a few passes
@@ -157,10 +158,9 @@ class _Codegen:
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}
         self._atom_names: dict[int, str] = {}
-        machine = cpu.machine
-        # RAM below the lowest MMIO base: accesses wholly inside it can
+        # The bus's MMIO-free RAM runs: an access wholly inside one can
         # never be I/O, and the PhysicalMemory accessors cannot fault.
-        self.ram_limit = min(machine.bus._ram_limit, machine.ram.size)
+        self.ram_runs = cpu.machine.bus.ram_runs
         self.sb_capacity = cpu.store_buffer.capacity
 
     def bind(self, atom) -> str:
@@ -199,6 +199,18 @@ class _Codegen:
                   f"raise HFE(HF(AVK, {self._fault_args(atom)}, paddr=x, "
                   f"detail='entry ' + str(vi)))")
 
+    def _outside_ram(self, size: int) -> str:
+        """Condition true unless [x, x+size) lies inside one RAM run."""
+        terms = []
+        for start, end in self.ram_runs:
+            last = end - size
+            if last >= start:
+                terms.append(f"x <= {last}" if start == 0
+                             else f"{start} <= x <= {last}")
+        if not terms:
+            return "True"
+        return "not (" + " or ".join(terms) + ")"
+
     def _addr_line(self, atom, depth: int) -> None:
         if atom.disp:
             self.emit(depth, f"x = (w[{atom.rs1}] + {atom.disp}) & {MASK32}")
@@ -208,8 +220,8 @@ class _Codegen:
     def _load(self, atom, depth: int) -> None:
         name = self.bind(atom)
         self._addr_line(atom, depth)
-        limit = self.ram_limit - atom.size
-        self.emit(depth, f"if mmu.paging_enabled or x > {limit}:")
+        self.emit(depth, "if mmu.paging_enabled or "
+                  f"{self._outside_ram(atom.size)}:")
         self.emit(depth + 1, f"ld({name})")
         self.emit(depth, "else:")
         self._alias_lines(atom, depth + 1, store=False)
@@ -225,10 +237,9 @@ class _Codegen:
         name = self.bind(atom)
         self._addr_line(atom, depth)
         size = atom.size
-        limit = self.ram_limit - size
         guards = [
             "mmu.paging_enabled",
-            f"x > {limit}",
+            self._outside_ram(size),
             f"(x >> {PAGE_SHIFT}) in pgs",
         ]
         if size > 1:
@@ -433,8 +444,8 @@ class _Codegen:
 
 # Process-wide cache of compiled template code objects, keyed by the
 # sha256 of the generated source.  The source embeds everything the
-# code object depends on (molecule structure, folded constants,
-# ``ram_limit``/``sb_capacity``); all per-CPU state is late-bound via
+# code object depends on (molecule structure, folded constants, the RAM
+# runs and ``sb_capacity``); all per-CPU state is late-bound via
 # ``_make``, so one code object serves every tenant whose translation
 # lowers to the same text.  ``compile`` dominates template cost, so a
 # fleet of tenants running the same guest code pays it once.

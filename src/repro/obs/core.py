@@ -46,9 +46,12 @@ class Observability:
     # -- dispatcher feed ---------------------------------------------------
 
     def note_dispatch(
-        self, entry_eip: int, instructions: int, molecules: int
+        self, entry_eip: int, instructions: int, molecules: int, entered
     ) -> None:
-        self.hotspots.note_dispatch(entry_eip, instructions, molecules)
+        """One dispatch entered at ``entry_eip``; ``entered`` lists the
+        translations it ran, each credited its own molecules."""
+        self.hotspots.note_dispatch(entry_eip, instructions)
+        self.hotspots.note_executed(entered)
         self._dispatch_instr.observe(instructions)
         self._dispatch_mols.observe(molecules)
 

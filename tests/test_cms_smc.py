@@ -399,3 +399,66 @@ class TestInterpreterStoreServicing:
         # while the patched loop is translated.
         config = CMSConfig(translation_threshold=6, fault_threshold=2)
         assert_equivalent(STYLIZED_SMC_PROGRAM, config=config)
+
+
+class TestInsertionMasks:
+    """Inserting a translation only ORs its granules into the page
+    masks; the masks are rebuilt only where a translation leaves.  That
+    must leave every page of a new translation exactly as the auditor's
+    rebuild from all resident translations would."""
+
+    @staticmethod
+    def _checked_run(monkeypatch, name: str, config: CMSConfig):
+        from repro import CodeMorphingSystem
+        from repro.workloads import get_workload
+
+        checked = []
+
+        def check(system, translation):
+            for page in translation.pages():
+                assert system.protection.page_mask(page) == \
+                    system.auditor._expected_mask(page), hex(page)
+            checked.append(translation)
+
+        translate = CodeMorphingSystem._maybe_translate
+        register = CodeMorphingSystem.register_loaded_translation
+
+        def checked_translate(system, eip):
+            translation = translate(system, eip)
+            if translation is not None:
+                check(system, translation)
+            return translation
+
+        def checked_register(system, translation):
+            register(system, translation)
+            check(system, translation)
+
+        # Snapshot admission runs inside the constructor, so patch the
+        # class rather than the instance.
+        monkeypatch.setattr(CodeMorphingSystem, "_maybe_translate",
+                            checked_translate)
+        monkeypatch.setattr(CodeMorphingSystem,
+                            "register_loaded_translation", checked_register)
+        workload = get_workload(name)
+        machine, entry = workload.build_machine()
+        system = CodeMorphingSystem(machine, config)
+        result = system.run(entry, max_instructions=workload.max_instructions)
+        assert result.halted
+        system.shutdown()  # saves the snapshot when configured
+        return system, checked
+
+    @pytest.mark.parametrize("name", ["quake_demo2", "dos_boot",
+                                      "linux_boot"])
+    def test_masks_exact_after_each_insertion(self, monkeypatch, name):
+        _, checked = self._checked_run(monkeypatch, name, CMSConfig())
+        assert len(checked) >= 5
+
+    def test_masks_exact_after_each_snapshot_admission(self, monkeypatch,
+                                                       tmp_path):
+        config = CMSConfig(snapshot_path=str(tmp_path / "snap.json"),
+                           snapshot_save=True)
+        self._checked_run(monkeypatch, "quake_demo2", config)
+        system, checked = self._checked_run(monkeypatch, "quake_demo2",
+                                            config)
+        assert system.stats.snapshot_translations_loaded > 0
+        assert any(translation.imported for translation in checked)

@@ -463,3 +463,124 @@ class TestStagedCompilation:
         assert switched
         assert all(info.kind is ExitKind.FUEL for info in switched)
         assert system.stats.jit_bailouts["fuel"] >= len(switched)
+
+
+# ----------------------------------------------------------------------
+# Inline RAM guards at the edges of the bus's RAM runs
+# ----------------------------------------------------------------------
+
+RAM_TOP = 4 << 20
+# Every address within 4 bytes of a RAM-run edge: the framebuffer hole
+# [0xA0000, 0xB0000) and the end of RAM.
+RUN_EDGES = [edge + delta for edge in (0xA0000, 0xB0000, RAM_TOP)
+             for delta in range(-4, 4)]
+
+
+def _edge_translation(addr: int, size: int, store: bool):
+    """movi; movi; one load or store at ``addr``; exit — no commit, so
+    the store buffer shows how the access was classified."""
+    from repro.cache.tcache import Translation
+    from repro.host.atoms import Atom, AtomKind
+    from repro.host.molecule import Molecule
+    from repro.translator.policies import TranslationPolicy
+
+    if store:
+        access = Atom(AtomKind.ST, rs1=40, rs2=41, size=size, io_ok=True,
+                      guest_addr=0x1000)
+    else:
+        access = Atom(AtomKind.LD, rd=42, rs1=40, size=size, io_ok=True,
+                      guest_addr=0x1000)
+    exit_atom = Atom(AtomKind.EXIT, exit_target=0x1010)
+    molecules = []
+    for atom in (Atom(AtomKind.MOVI, rd=40, imm=addr),
+                 Atom(AtomKind.MOVI, rd=41, imm=0xA1B2C3D4), access,
+                 exit_atom):
+        molecule = Molecule()
+        molecule.add(atom)
+        molecules.append(molecule)
+    return Translation(
+        entry_eip=0x1000, molecules=molecules, labels={"body": 0},
+        entry_label="body", policy=TranslationPolicy(),
+        code_ranges=[(0x1000, 16)], code_snapshot=bytes(16),
+        guest_instr_count=1, exit_atoms=[exit_atom])
+
+
+class TestRamRunGuards:
+    def test_edge_accesses_match_the_simulated_vliw(self):
+        systems = []
+        for config in (NO_JIT, FAST):
+            machine = Machine()
+            # RAM under the framebuffer window differs from what the
+            # device returns, so a wrongly inlined load reads the wrong
+            # bytes.
+            machine.ram.write_bytes(0x9F000, bytes(
+                (i * 13 + 5) & 0xFF for i in range(0x12000)))
+            machine.ram.write_bytes(RAM_TOP - 8, bytes(range(1, 9)))
+            systems.append(CodeMorphingSystem(machine, config))
+        vliw, jitted = systems
+        jitted.jit.compile_passes = 0
+        for addr in RUN_EDGES:
+            for size in (1, 2, 4):
+                for store in (False, True):
+                    results = []
+                    for system, engine in ((vliw, vliw.cpu.run),
+                                           (jitted, jitted.jit.run)):
+                        translation = _edge_translation(addr, size, store)
+                        info = engine(translation)
+                        cpu = system.cpu
+                        fault = info.fault
+                        results.append((
+                            info.kind, info.molecules,
+                            None if fault is None else (
+                                fault.kind, fault.guest_exception.vector
+                                if fault.guest_exception else None),
+                            cpu.molecules_executed, cpu.atoms_executed,
+                            list(cpu.regs.working), cpu._io_uncommitted,
+                            [(e.paddr, e.size, e.value, e.is_io)
+                             for e in cpu.store_buffer._entries],
+                            system.machine.bus.io_reads,
+                        ))
+                        if system is jitted:
+                            assert translation.host_code is not None
+                        cpu.rollback()
+                    assert results[0] == results[1], (hex(addr), size,
+                                                      store)
+
+    def test_guest_accesses_at_run_edges_are_dial_invisible(self,
+                                                            eager_jit):
+        source = f"""
+        start:
+            mov esp, 0x8000
+            mov esi, 0
+            mov ecx, 0
+        loop:
+            mov ebx, 0x9FFFC
+            load eax, [ebx]
+            add esi, eax
+            store [ebx], ecx
+            mov ebx, 0x9FFFF
+            loadb eax, [ebx]
+            add esi, eax
+            storeb [ebx], ecx
+            mov ebx, 0xB0000
+            load eax, [ebx]
+            add esi, eax
+            store [ebx], esi
+            loadb eax, [ebx]
+            add esi, eax
+            mov ebx, {RAM_TOP - 4:#x}
+            load eax, [ebx]
+            add esi, eax
+            store [ebx], esi
+            mov ebx, {RAM_TOP - 1:#x}
+            loadb eax, [ebx]
+            add esi, eax
+            storeb [ebx], ecx
+            inc ecx
+            cmp ecx, 50
+            jne loop
+            cli
+            hlt
+        """
+        system = _assert_dial_invisible(source, FAST)
+        assert system.stats.jit_compiles > 0
