@@ -18,6 +18,7 @@ mixed code/data driver traffic (Table 1).
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 
 from repro.machine import TIMER_MMIO_BASE, DMA_MMIO_BASE
@@ -53,8 +54,13 @@ class BootProfile:
 
 
 def _cold_init(profile: BootProfile) -> str:
-    """One-shot straight-line code: executed once, never translated."""
-    rng = random.Random(hash(profile.name) & 0xFFFF)
+    """One-shot straight-line code: executed once, never translated.
+
+    Seeded from a stable digest of the boot's name: ``hash(str)`` is
+    salted per process, so it would assemble a different guest program
+    in every process.
+    """
+    rng = random.Random(zlib.crc32(profile.name.encode()) & 0xFFFF)
     blocks = []
     for block in range(profile.cold_init_blocks):
         lines = [f"cold_{block}:"]

@@ -9,8 +9,13 @@ checksum, which each workload computes from deterministic data only.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cms.config import CMSConfig
 from repro.workloads import ALL_WORKLOADS, get_workload, run_workload
 from repro.workloads.base import Workload
@@ -119,3 +124,20 @@ class TestWorkloadPhenomena:
         expected = reference_output(workload)
         result = run_workload(workload, FAST)
         assert result.console_output == expected
+
+
+def test_boot_source_is_the_same_in_every_process():
+    """A boot workload assembles the same program whatever the
+    interpreter's string-hash salt (``PYTHONHASHSEED``)."""
+    script = ("import hashlib; from repro.workloads import get_workload; "
+              "print(hashlib.sha256(get_workload('dos_boot').source"
+              ".encode()).hexdigest())")
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       repro.__file__)))
+        digests.add(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert len(digests) == 1
