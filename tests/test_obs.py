@@ -326,8 +326,15 @@ class TestBus:
 
 
 class TestSystemIntegration:
-    def test_obs_off_and_on_are_molecule_identical(self):
+    def test_obs_off_and_on_are_molecule_identical(self, monkeypatch):
+        # Each leg starts from an empty template code cache: the cache
+        # is process-wide, so the second leg would otherwise reuse the
+        # code the first compiled and count ``jit_code_cache_hits``.
+        from repro.host import jit
+
+        monkeypatch.setattr(jit, "_CODE_CACHE", {})
         off_system, off_result = run_cms(HOT_LOOP, FAST)
+        monkeypatch.setattr(jit, "_CODE_CACHE", {})
         on_system, on_result = run_cms(
             HOT_LOOP, replace(FAST, obs_enabled=True)
         )
