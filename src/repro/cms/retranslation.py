@@ -46,7 +46,23 @@ class AdaptiveController:
 
     def __init__(self, config: CMSConfig) -> None:
         self.config = config
+        self._base = TranslationPolicy(
+            reorder_memory=config.reorder_memory,
+            use_alias_hw=config.use_alias_hw,
+            control_speculation=config.control_speculation,
+            max_instructions=config.max_region_instructions,
+            commit_interval=config.commit_interval,
+            max_blocks=(config.trace_max_blocks
+                        if config.trace_formation else 1),
+            self_check=config.force_self_check,
+            group_enabled=config.translation_groups,
+        )
         self._policies: dict[int, TranslationPolicy] = {}
+        # entry -> (accumulated policy, base merged with it): the
+        # dispatcher asks for a hot region's policy on every miss past
+        # the threshold, and a frozen pair only needs merging once.
+        self._merged: dict[int, tuple[TranslationPolicy,
+                                      TranslationPolicy]] = {}
         self._site_faults: Counter = Counter()
         # entry -> sha256 of the code bytes the region's policy was
         # learned against.  When the guest reloads different code at the
@@ -62,23 +78,17 @@ class AdaptiveController:
     # ------------------------------------------------------------------
 
     def base_policy(self) -> TranslationPolicy:
-        config = self.config
-        return TranslationPolicy(
-            reorder_memory=config.reorder_memory,
-            use_alias_hw=config.use_alias_hw,
-            control_speculation=config.control_speculation,
-            max_instructions=config.max_region_instructions,
-            commit_interval=config.commit_interval,
-            max_blocks=(config.trace_max_blocks
-                        if config.trace_formation else 1),
-            self_check=config.force_self_check,
-            group_enabled=config.translation_groups,
-        )
+        return self._base
 
     def policy_for(self, entry_eip: int) -> TranslationPolicy:
-        base = self.base_policy()
         accumulated = self._policies.get(entry_eip)
-        return base if accumulated is None else base.merge(accumulated)
+        if accumulated is None:
+            return self._base
+        cached = self._merged.get(entry_eip)
+        if cached is None or cached[0] is not accumulated:
+            cached = (accumulated, self._base.merge(accumulated))
+            self._merged[entry_eip] = cached
+        return cached[1]
 
     def set_policy(self, entry_eip: int, policy: TranslationPolicy) -> None:
         """Record an accumulated policy (used by the SMC manager too)."""
@@ -129,8 +139,9 @@ class AdaptiveController:
             return
         self.code_resets += 1
         accumulated = self._policies.pop(entry_eip, None)
+        self._merged.pop(entry_eip, None)
         if accumulated is not None:
-            base = self.base_policy()
+            base = self._base
             kept = base.with_(
                 self_check=accumulated.self_check,
                 self_revalidate=accumulated.self_revalidate,
@@ -155,6 +166,7 @@ class AdaptiveController:
         for entry in [e for e in self._policies
                       if e not in live_policy_entries]:
             del self._policies[entry]
+            self._merged.pop(entry, None)
             removed += 1
         for entry in [e for e in self._code_ids
                       if e not in live_policy_entries]:

@@ -38,6 +38,26 @@ class TestBasePolicy:
         controller = make_controller()
         assert controller.policy_for(0x9999) == controller.base_policy()
 
+    def test_policy_for_follows_every_accumulated_change(self):
+        # policy_for memoizes the base merge per entry; every way the
+        # accumulated policy changes must show in the next answer.
+        controller = make_controller(max_region_instructions=64)
+        base = controller.base_policy()
+        controller.observe_code(0x1000, "digest-a")
+        controller.set_policy(0x1000, base.with_(self_check=True))
+        first = controller.policy_for(0x1000)
+        assert first.self_check and first.max_instructions == 64
+        assert controller.policy_for(0x1000) is first
+        controller.set_policy(0x1000, base.with_(
+            stop_addrs=frozenset({0x1004})))
+        second = controller.policy_for(0x1000)
+        assert second.self_check and 0x1004 in second.stop_addrs
+        controller.observe_code(0x1000, "digest-b")  # new code: reset
+        third = controller.policy_for(0x1000)
+        assert third.self_check and not third.stop_addrs
+        controller.prune(set(), set())
+        assert controller.policy_for(0x1000) == base
+
 
 class TestEscalation:
     def test_below_threshold_no_action(self):
