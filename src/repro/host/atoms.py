@@ -20,6 +20,14 @@ from dataclasses import dataclass
 class AluOp(enum.Enum):
     """Two-source ALU operations (all 32-bit)."""
 
+    # Members are singletons, so the identity hash agrees with equality;
+    # it runs in C, where Enum's own ``hash(self._name_)`` runs in
+    # Python on every dict and set lookup the translator makes.  Like
+    # any identity hash it differs between processes: never iterate a
+    # set of members where order matters.  AtomKind, Slot, IROpKind,
+    # Fmt and Kind do the same.
+    __hash__ = object.__hash__
+
     ADD = "add"
     SUB = "sub"
     AND = "and"
@@ -41,6 +49,8 @@ class AluOp(enum.Enum):
 
 
 class AtomKind(enum.Enum):
+    __hash__ = object.__hash__  # C-level; see AluOp
+
     MOVI = enum.auto()  # rd <- imm
     MOV = enum.auto()  # rd <- rs1
     ALU = enum.auto()  # rd <- rs1 (aluop) rs2

@@ -21,6 +21,8 @@ from repro.host.atoms import Atom, AtomKind
 
 
 class Slot(enum.Enum):
+    __hash__ = object.__hash__  # C-level; see host.atoms.AluOp
+
     ALU0 = "alu0"
     ALU1 = "alu1"
     MEM = "mem"
@@ -81,9 +83,9 @@ class Molecule:
 
     def can_add(self, atom: Atom) -> Slot | None:
         """Return a free slot for ``atom``, or None if it cannot issue."""
-        if len(self.atoms) >= MAX_ATOMS_PER_MOLECULE:
+        used = self.slots
+        if len(used) >= MAX_ATOMS_PER_MOLECULE:
             return None
-        used = set(self.slots)
         for slot in SLOT_CLASSES[atom.kind]:
             if slot not in used:
                 return slot

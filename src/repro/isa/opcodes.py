@@ -28,6 +28,8 @@ from repro.isa import flags as fl
 class Fmt(enum.Enum):
     """Operand formats; lengths live in ``FMT_LENGTHS``."""
 
+    __hash__ = object.__hash__  # C-level; see host.atoms.AluOp
+
     NONE = enum.auto()  # opcode only
     R = enum.auto()  # opcode, reg byte (register in low nibble)
     RR = enum.auto()  # opcode, (dst << 4) | src
@@ -69,6 +71,8 @@ FMT_LENGTHS = {
 
 class Kind(enum.Enum):
     """Coarse instruction classification used by region selection."""
+
+    __hash__ = object.__hash__  # C-level; see host.atoms.AluOp
 
     ALU = enum.auto()  # register/immediate arithmetic and logic
     MOVE = enum.auto()
