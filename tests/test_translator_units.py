@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.host.atoms import AtomKind
+from repro.host.registers import R_EIP, R_FLAG_BASE
 from repro.interp.profile import ExecutionProfile
 from repro.machine import Machine
 from repro.translator.codegen import CodeGenerator
 from repro.translator.frontend import Frontend
-from repro.translator.ir import GuestFlag, GuestReg, IROpKind, is_guest_loc
+from repro.translator.ir import (GuestEip, GuestFlag, GuestReg, IROpKind,
+                                 Temp)
 from repro.translator.optimize import optimize
 from repro.translator.policies import TranslationPolicy
 from repro.translator.region import Region, RegionEnd, RegionSelector
@@ -37,6 +42,25 @@ def lower(source: str, policy: TranslationPolicy | None = None):
     region = select(source, policy)
     trace = Frontend(policy).lower(region)
     return region, trace
+
+
+class TestOperands:
+    def test_operands_are_interned_and_kinds_stay_distinct(self):
+        assert Temp(3) is Temp(3) and GuestReg(3) is GuestReg(3)
+        assert GuestFlag(2) is GuestFlag(2) and GuestEip() is GuestEip()
+        assert Temp(3) != GuestReg(3) != GuestFlag(3)
+        assert len({Temp(3), GuestReg(3), GuestFlag(3)}) == 3
+        assert Temp(3).index == GuestReg(3).index == GuestReg(3).host_reg
+        assert GuestFlag(2).slot == 2
+        assert GuestFlag(2).host_reg == R_FLAG_BASE + 2
+        assert GuestEip().host_reg == R_EIP
+
+    def test_operands_are_immutable_and_copies_stay_interned(self):
+        with pytest.raises(AttributeError):
+            Temp(1).index = 2
+        assert pickle.loads(pickle.dumps(GuestFlag(4))) is GuestFlag(4)
+        assert copy.deepcopy((Temp(9), GuestEip())) == (Temp(9), GuestEip())
+        assert copy.deepcopy(Temp(9)) is Temp(9)
 
 
 class TestRegionSelection:
