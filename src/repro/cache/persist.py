@@ -53,7 +53,7 @@ from repro.host.molecule import Molecule, Slot
 from repro.translator.policies import TranslationPolicy
 
 SNAPSHOT_FORMAT = "repro-cms-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: CMSConfig fields that never affect what a translation computes or
 #: whether it is valid: run-local observability, host-speed dials,
@@ -61,8 +61,7 @@ SNAPSHOT_VERSION = 1
 _CONFIG_EXCLUDE = frozenset({
     "snapshot_path", "snapshot_save", "snapshot_strict_config",
     "obs_enabled", "obs_jsonl_path", "obs_histogram_buckets",
-    "decode_cache", "fast_bus_routing", "fast_dispatch", "template_jit",
-    "mmu_tlb",
+    "decode_cache", "fast_bus_routing", "template_jit", "mmu_tlb",
     "chaos_rate", "chaos_seed", "chaos_tenant",
 })
 
@@ -206,10 +205,7 @@ def encode_translation(translation: Translation) -> dict:
         "prologue_label": translation.prologue_label,
         "molecules": [_encode_molecule(m) for m in translation.molecules],
         "exit_atoms": exit_refs,
-        "trace_blocks": translation.trace_blocks,
-        "block_entries": list(translation.block_entries),
         "modeled_cycles": translation.modeled_cycles,
-        "loop_trace": translation.loop_trace,
     }
 
 
@@ -230,10 +226,7 @@ def decode_translation(data: dict) -> Translation:
         exit_atoms=exit_atoms,
         prologue_label=data["prologue_label"],
         range_digests=tuple(data["range_digests"]),
-        trace_blocks=data.get("trace_blocks", 1),
-        block_entries=tuple(data.get("block_entries", ())),
         modeled_cycles=data.get("modeled_cycles", 0),
-        loop_trace=data.get("loop_trace", False),
     )
 
 

@@ -68,21 +68,10 @@ class Translation:
     # time; the snapshot loader checks them against current guest RAM
     # before re-admitting a persisted translation.
     range_digests: tuple[str, ...] = ()
-    # Superblock trace shape: how many selector blocks were chained into
-    # this region, their guest entry addresses, and the scheduler cost
-    # model's completion-time estimate for the whole body.
-    trace_blocks: int = 1
-    block_entries: tuple[int, ...] = ()
+    # The scheduler cost model's completion-time estimate for the body.
     modeled_cycles: int = 0
-    # The region ends with a back edge to its own entry (it iterates
-    # in-cache).  Single-block loop translations are candidates for
-    # hot-loop unroll promotion; for unrolled ones (trace_blocks > 1)
-    # the only way out is a side exit, so early exits are the loop
-    # *completing* — never counted as trace mispredictions.
-    loop_trace: bool = False
     # Runtime statistics.
     entries: int = 0
-    side_exits: int = 0  # exits taken from a non-final trace block
     executions_molecules: int = 0
     fault_counts: Counter = field(default_factory=Counter)
     valid: bool = True

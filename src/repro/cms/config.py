@@ -56,26 +56,6 @@ class CMSConfig:
     use_alias_hw: bool = True
     control_speculation: bool = True
 
-    # Superblock/trace formation (PR 7).  When on, the translator chains
-    # profile-biased successor blocks into one extended region with
-    # guarded side exits; mispredicted side exits feed the adaptive
-    # controller, which splits storming traces back toward single
-    # blocks (§3.6.5-style).  These dials shape translations (molecule
-    # streams differ with them), so they participate in the snapshot
-    # config digest — only guest-visible output is invariant.
-    trace_formation: bool = True
-    # Benchmarked defaults (see EXPERIMENTS.md): 4 blocks / 8192 hot
-    # molecules was the only dial point where a workload's wall clock
-    # improved (quake_demo2) while the others paid just their one-time
-    # translation cost; wider/earlier unrolls lose the amortization race.
-    trace_max_blocks: int = 4  # superblock cap per translation
-    trace_min_reach: float = 0.35  # min on-trace probability to keep growing
-    trace_mispredict_threshold: int = 16  # early side exits before a split
-    # Molecules a single-block loop translation must execute before the
-    # dispatcher promotes it to an unrolled trace (adaptive escalation:
-    # cold loops never pay the unroll's translation cost).
-    trace_hot_molecules: int = 8192
-
     # SMC machinery (Table 1, §3.6.2-§3.6.5).
     fine_grain_protection: bool = True
     fine_grain_entries: int = 8
@@ -149,7 +129,6 @@ class CMSConfig:
     # so `benchmarks/bench_wallclock.py` can attribute the speedup.
     decode_cache: bool = True  # memoize decode() keyed by paddr
     fast_bus_routing: bool = True  # bisect MMIO routing + RAM fast path
-    fast_dispatch: bool = True  # dispatcher/recovery fast paths
     template_jit: bool = True  # lower committed translations to Python
     mmu_tlb: bool = True  # software TLB over the guest page table
 
@@ -166,5 +145,4 @@ class CMSConfig:
         from dataclasses import replace
 
         return replace(self, decode_cache=False, fast_bus_routing=False,
-                       fast_dispatch=False, template_jit=False,
-                       mmu_tlb=False)
+                       template_jit=False, mmu_tlb=False)

@@ -260,9 +260,6 @@ class DegradationManager:
                                    self._TIER_COMMIT_CAP.get(
                                        tier, self._TIER_COMMIT_CAP[
                                            Tier.NO_REORDER])),
-            # A degraded region keeps no superblock ambitions: traces
-            # clamp to a single block until the ladder climbs back.
-            "max_blocks": 1,
         }
         if tier >= Tier.NO_REORDER:
             changes["reorder_memory"] = False

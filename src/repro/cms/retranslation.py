@@ -52,8 +52,6 @@ class AdaptiveController:
             control_speculation=config.control_speculation,
             max_instructions=config.max_region_instructions,
             commit_interval=config.commit_interval,
-            max_blocks=(config.trace_max_blocks
-                        if config.trace_formation else 1),
             self_check=config.force_self_check,
             group_enabled=config.translation_groups,
         )

@@ -35,16 +35,9 @@ class CMSStats:
     retranslations: int = 0
     group_reactivations: int = 0
 
-    # Superblock traces (PR 7).  ``modeled_cycles_translated`` is the
-    # scheduler cost model's completion-time estimate summed over every
-    # translation made — the static schedule-quality metric the perf
-    # gate tracks alongside wall clock.
-    traces_formed: int = 0  # translations spanning > 1 block
-    trace_blocks_chained: int = 0  # blocks chained into those traces
-    trace_side_exits: int = 0  # mispredicted exits from a chained trace
-    trace_loop_exits: int = 0  # unrolled-loop traces completing normally
-    trace_promotions: int = 0  # hot loops escalated to unrolled traces
-    trace_splits: int = 0  # mispredict-driven block-cap demotions
+    # The scheduler cost model's completion-time estimate summed over
+    # every translation made: the static schedule-quality metric the
+    # perf gate tracks alongside wall clock.
     modeled_cycles_translated: int = 0
 
     # Exceptional events.
@@ -170,15 +163,6 @@ class CMSStats:
         if self.audit_runs:
             lines.append(f"self-audits          {self.audit_runs:>12}"
                          f" ({self.audit_repairs} repairs)")
-        if self.traces_formed or self.trace_side_exits:
-            lines.append(
-                f"superblock traces    {self.traces_formed:>12}"
-                f" ({self.trace_blocks_chained} blocks,"
-                f" {self.trace_promotions} promotions,"
-                f" {self.trace_loop_exits} loop exits,"
-                f" {self.trace_side_exits} side exits,"
-                f" {self.trace_splits} splits)"
-            )
         if self.jit_dispatches:
             lines.append(
                 f"jit dispatches       {self.jit_dispatches:>12}"

@@ -86,8 +86,7 @@ class CodeMorphingSystem:
         self.profile = ExecutionProfile()
         self.interpreter = Interpreter(machine, self.state, self.profile)
         self.translator = Translator(machine, self.profile,
-                                     alias_entries=config.alias_entries,
-                                     trace_min_reach=config.trace_min_reach)
+                                     alias_entries=config.alias_entries)
         self.tcache = TranslationCache(config.tcache_capacity_molecules)
         self.groups = TranslationGroups()
         self.stats = CMSStats()
@@ -136,7 +135,6 @@ class CodeMorphingSystem:
         # chains into its translations are severed so the dispatcher
         # re-verifies the identity mapping before re-entering them.
         machine.mmu.mapping_observers.append(self._on_mapping_changed)
-        self._fast_dispatch = config.fast_dispatch
         # Template JIT (PR 6): committed translations lowered to
         # generated Python (host/jit.py).  Semantics-invisible like the
         # other wall-clock dials; degraded ladder tiers and quarantined
@@ -473,14 +471,10 @@ class CodeMorphingSystem:
             return
 
         eip = state.eip
-        if self._fast_dispatch:
-            # While paging is off every address is identity-mapped, so
-            # skip the MMU walk entirely (the overwhelmingly common
-            # case: boots run un-paged and apps identity-map code).
-            if machine.mmu.paging_enabled and not self._identity_mapped(eip):
-                self._interp_step()
-                return
-        elif not self._identity_mapped(eip):
+        # While paging is off every address is identity-mapped, so skip
+        # the MMU walk entirely (the overwhelmingly common case: boots
+        # run un-paged and apps identity-map code).
+        if machine.mmu.paging_enabled and not self._identity_mapped(eip):
             self._interp_step()
             return
         translation = self.tcache.lookup(eip)
@@ -549,11 +543,6 @@ class CodeMorphingSystem:
                 self.smc.on_prologue_success(current)
                 return
             if atom is not None:
-                if current.trace_blocks > 1 and \
-                        self._note_trace_exit(current, atom):
-                    return  # split and replaced, or mispredict: no chain
-                if self._maybe_promote_loop(current):
-                    return  # promoted to an unrolled trace and replaced
                 self._try_chain(current, atom)
             return
         if exit_info.kind is ExitKind.INTERRUPT:
@@ -653,100 +642,6 @@ class CodeMorphingSystem:
             if phases is not None:
                 self.obs.note_interp()
 
-    def _note_trace_exit(self, translation: Translation, atom) -> bool:
-        """Account a superblock trace exit; split storming traces.
-
-        An exit from any block before the last one means the trace
-        mispredicted a biased branch (the guarded side exit fired).
-        Recurring mispredicts feed the adaptive controller: the block
-        cap is halved — monotonically, through the policy merge — and
-        the trace retranslated, descending toward single-block regions
-        exactly like other §3 escalations.  Returns True when the exit
-        must not be chained: either the trace was retranslated (the
-        atom belongs to a dead version) or the exit was counted as a
-        mispredict — chaining one would hide every later occurrence
-        from this accounting, freezing the counter below the split
-        threshold.  An unchained mispredict pays a dispatcher
-        round-trip per occurrence, which is exactly the cost signal
-        that justifies the split.
-
-        Unrolled-loop traces mostly don't mispredict: a side exit is the
-        loop *completing* (the back edge is internal, so a side exit is
-        the only way out), tallied separately.  The exception is a
-        *shallow* loop — trip count below the unroll depth — which
-        exits from an early copy on every entry without ever running a
-        full pass over the peeled iterations; those exits count as
-        mispredicts so the split ladder can walk the depth back down.
-        """
-        if translation.loop_trace:
-            completing = atom.trace_block >= translation.trace_blocks - 1
-            # Average entry executes at least one full pass: the depth
-            # is earning its keep, so early exits are just the trip
-            # count not being a multiple of it.
-            earning = (translation.executions_molecules
-                       >= translation.entries * translation.num_molecules)
-            if completing or earning:
-                self.stats.trace_loop_exits += 1
-                return False
-        elif atom.trace_block >= translation.trace_blocks - 1:
-            return False
-        translation.side_exits += 1
-        self.stats.trace_side_exits += 1
-        threshold = self.config.trace_mispredict_threshold
-        if threshold <= 0 or translation.side_exits < threshold:
-            return True  # counted; keep the exit visible (unchained)
-        if translation.side_exits * 2 < translation.entries:
-            return True  # mostly completes; tolerate the side exits
-        entry = translation.entry_eip
-        new_cap = max(1, translation.trace_blocks // 2)
-        self.controller.set_policy(
-            entry,
-            self.controller.policy_for(entry).with_(max_blocks=new_cap),
-        )
-        self.stats.trace_splits += 1
-        self.bus.record(Event.TRACE_SPLIT, entry,
-                        f"blocks {translation.trace_blocks} -> {new_cap}")
-        self._retranslate(translation, self.controller.policy_for(entry))
-        return True
-
-    def _maybe_promote_loop(self, translation: Translation) -> bool:
-        """Escalate a runtime-proven hot loop to an unrolled trace.
-
-        The inverse of :meth:`_note_trace_exit`'s demotion: the first
-        translation of a loop is the cheap single body (low translation
-        latency, the paper's first-gear choice); once it has executed
-        ``trace_hot_molecules`` host molecules the dispatcher flips the
-        ``unroll_loops`` policy bit and retranslates, letting the trace
-        builder peel iterations and the scheduler overlap them.  The
-        translator keeps the unroll only if the cost model says it
-        schedules denser, and the bit is sticky in the controller, so a
-        rejected unroll is never attempted again (and an SMC code-version
-        reset clears it — new code re-proves its hotness).  Returns True
-        when the translation was replaced.
-        """
-        config = self.config
-        if (not config.trace_formation
-                or not translation.loop_trace
-                or translation.trace_blocks > 1
-                or config.trace_hot_molecules <= 0
-                or translation.executions_molecules
-                < config.trace_hot_molecules):
-            return False
-        entry = translation.entry_eip
-        policy = self.controller.policy_for(entry)
-        if policy.unroll_loops or policy.max_blocks <= 1:
-            return False  # already judged (or clamped single-block)
-        self.controller.set_policy(entry, policy.with_(unroll_loops=True))
-        self.stats.trace_promotions += 1
-        self.bus.record(Event.TRACE_PROMOTE, entry,
-                        f"hot loop ({translation.executions_molecules}"
-                        f" molecules)")
-        # The translation being promoted is the judge's comparison
-        # baseline — no need to rebuild the single body it already is.
-        self._retranslate(translation, self.controller.policy_for(entry),
-                          unroll_baseline=translation)
-        return True
-
     def _try_chain(self, source: Translation, atom) -> None:
         """Chain an exit, inside its own containment boundary: a failed
         chain patch simply leaves the exit unchained (one dispatcher
@@ -794,19 +689,12 @@ class CodeMorphingSystem:
     # ------------------------------------------------------------------
 
     def _maybe_translate(self, eip: int) -> Translation | None:
-        if self._fast_dispatch:
-            # The dispatcher just missed the tcache for this eip; bump
-            # the anchor count and test the threshold in one probe
-            # instead of re-deriving the count through the profile.
-            counts = self.profile.anchor_counts
-            counts[eip] = count = counts[eip] + 1
-            if count < self.config.translation_threshold:
-                return None
-        else:
-            self.profile.on_anchor(eip)
-            if self.profile.anchor_counts[eip] < \
-                    self.config.translation_threshold:
-                return None
+        # The dispatcher just missed the tcache for this eip: count the
+        # anchor execution and test the threshold in one probe.
+        counts = self.profile.anchor_counts
+        counts[eip] = count = counts[eip] + 1
+        if count < self.config.translation_threshold:
+            return None
         # Code identity first: if the guest loaded different code at
         # this address, version-specific escalations (including a stale
         # interpreter pin in stop_addrs) are reset before they gate
@@ -849,15 +737,14 @@ class CodeMorphingSystem:
         self.stats.translations_made += 1
         self.stats.guest_instructions_translated += \
             translation.guest_instr_count
-        self._note_translation_shape(translation)
+        self.stats.modeled_cycles_translated += translation.modeled_cycles
         if self.obs is not None:
             self.obs.note_translation(eip, translation.guest_instr_count)
         self.bus.record(Event.TRANSLATE, eip,
                         translation.policy.describe())
         return translation
 
-    def _retranslate(self, translation: Translation, policy,
-                     unroll_baseline: Translation | None = None) -> None:
+    def _retranslate(self, translation: Translation, policy) -> None:
         """Replace a failing translation with a more conservative one.
 
         The failing version is removed from the tcache — and, through
@@ -877,13 +764,11 @@ class CodeMorphingSystem:
         try:
             if phases is None:
                 replacement = self.translator.translate(
-                    entry, self.degrade.clamp(entry, policy),
-                    unroll_baseline=unroll_baseline)
+                    entry, self.degrade.clamp(entry, policy))
             else:
                 with phases.phase("translate"):
                     replacement = self.translator.translate(
-                        entry, self.degrade.clamp(entry, policy),
-                        unroll_baseline=unroll_baseline)
+                        entry, self.degrade.clamp(entry, policy))
         except TranslationError:
             pass
         except Exception as error:  # noqa: BLE001 — containment point
@@ -907,14 +792,7 @@ class CodeMorphingSystem:
         self.bus.record(Event.RETRANSLATE, entry, policy.describe())
         self.stats.guest_instructions_translated += \
             replacement.guest_instr_count
-        self._note_translation_shape(replacement)
-
-    def _note_translation_shape(self, translation: Translation) -> None:
-        """Thread trace-shape and cost-model counters through stats."""
-        self.stats.modeled_cycles_translated += translation.modeled_cycles
-        if translation.trace_blocks > 1:
-            self.stats.traces_formed += 1
-            self.stats.trace_blocks_chained += translation.trace_blocks
+        self.stats.modeled_cycles_translated += replacement.modeled_cycles
 
     # ------------------------------------------------------------------
     # Fault recovery (§3): rollback happened; decide and make progress
@@ -1019,14 +897,7 @@ class CodeMorphingSystem:
         fault was an artifact of speculation and is simply ignored,
         §3.2).
         """
-        if self._fast_dispatch:
-            region_addrs = translation.region_addrs()
-        else:
-            region_addrs = {
-                addr
-                for start, length in translation.code_ranges
-                for addr in range(start, start + length)
-            }
+        region_addrs = translation.region_addrs()
         cap = self.config.recovery_interp_cap
         for step in range(cap):
             if self.state.eip not in region_addrs:

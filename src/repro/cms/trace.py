@@ -28,8 +28,6 @@ class Event(enum.Enum):
     REVALIDATE_ARM = "revalidate-arm"
     REVALIDATE_PASS = "revalidate-pass"
     POLICY_ESCALATE = "policy-escalate"
-    TRACE_PROMOTE = "trace-promote"
-    TRACE_SPLIT = "trace-split"
     TCACHE_FLUSH = "tcache-flush"
     CONTAINED_ERROR = "contained-error"
     QUARANTINE = "quarantine"

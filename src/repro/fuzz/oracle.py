@@ -89,18 +89,6 @@ def default_matrix() -> tuple[DialVariant, ...]:
         # revalidates; the warm run must still match the interpreter.
         DialVariant("snapshot-roundtrip", _BASE,
                     snapshot_roundtrip=True),
-        # Superblock traces (PR 7): _BASE runs with trace formation on
-        # at production thresholds; these two pin the extremes.
-        # ``no-traces`` is the single-block control, ``deep-traces``
-        # forces promotion almost immediately, unrolls deep past the
-        # reach floor, and splits aggressively — the most duplicated
-        # addresses, guarded side exits, and retranslation churn per
-        # program the dials can produce.
-        DialVariant("no-traces", replace(_BASE, trace_formation=False)),
-        DialVariant("deep-traces",
-                    replace(_BASE, trace_hot_molecules=16,
-                            trace_max_blocks=8, trace_min_reach=0.05,
-                            trace_mispredict_threshold=4)),
         # Template staging at the runtime compile threshold: a
         # translation starts on the simulated VLIW, its exits chain
         # through the JIT driver, and once hot it switches to its

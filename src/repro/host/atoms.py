@@ -111,11 +111,6 @@ class Atom:
     # re-enables protection and disarms the prologue before running the
     # body (§3.6.2).
     prologue_success: bool = False
-    # EXIT atoms in a superblock trace: index of the constituent block
-    # this exit belongs to.  An exit from any block before the last one
-    # is a side exit (trace mispredict); the dispatcher counts these to
-    # drive split/retranslate decisions.
-    trace_block: int = 0
 
     def writes_reg(self) -> int | None:
         """Destination register, if the atom writes one."""

@@ -42,10 +42,10 @@ class GatedStoreBuffer:
         self._entries: list[BufferedStore] = []
         self._overlay: dict[int, int] = {}  # paddr -> byte, RAM stores only
         # Byte-address bounds of the overlay, [lo, hi) — lets forwarding
-        # reject non-overlapping loads in O(1).  Matters for unrolled
-        # loop traces, whose commit windows span several iterations and
-        # keep the overlay populated across most of the body.  The
-        # template JIT's inline store path maintains these too.
+        # reject non-overlapping loads in O(1).  Matters for long
+        # commit windows, which keep the overlay populated across most
+        # of the body.  The template JIT's inline store path maintains
+        # these too.
         self._lo = NO_LO
         self._hi = 0
         self.total_buffered = 0

@@ -257,10 +257,7 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     workload = get_workload(args.workload)
-    # Hold trace formation fixed across rows: the unroll judge keys off
-    # schedule density, so the scheduling dials below could otherwise
-    # flip a promotion and swamp the dial's own cost in the comparison.
-    base = CMSConfig(trace_formation=False)
+    base = CMSConfig()
     variants = {
         "baseline": base,
         "no reordering": replace(base, reorder_memory=False,

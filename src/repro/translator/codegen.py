@@ -21,7 +21,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.cache.tcache import Translation
@@ -41,7 +40,7 @@ from repro.translator.ir import (
     TraceIR,
 )
 from repro.translator.policies import TranslationPolicy
-from repro.translator.region import Region, RegionEnd
+from repro.translator.region import Region
 from repro.translator.schedule import Schedule
 
 TEMP_POOL_END = 56  # host regs 56..63 reserved for check prologues
@@ -117,24 +116,6 @@ class CodeGenerator:
         host_regs.update(temp_map)
         host = host_regs.__getitem__  # operand -> host register
 
-        # Superblock traces: map each guest instruction *position* to
-        # its constituent block so exit stubs can be tagged with the
-        # block they leave from (the dispatcher counts exits from
-        # non-final blocks as trace mispredicts).  Keyed by region
-        # index, not guest address — an unrolled loop repeats the same
-        # addresses in every copy, and a guard must report the copy it
-        # actually sits in, or a shallow loop's first-copy exit would
-        # masquerade as the final copy's normal completion.
-        last_block = region.num_blocks - 1
-        bounds = (region.block_bounds + [len(region.instrs)]
-                  if last_block > 0 else [0, len(region.instrs)])
-
-        def trace_block_of(op: IROp) -> int:
-            if last_block == 0:
-                return 0
-            block = bisect_right(bounds, op.guest_index) - 1
-            return min(max(block, 0), last_block)
-
         # Incremental self-checking (§3.6.3): each instruction's code
         # bytes are verified exactly once per body pass, on the main
         # path, *after* every store that precedes it in program order
@@ -199,7 +180,6 @@ class CodeGenerator:
                     molecules, pending_stub, host, "body", region.entry_eip
                 )
                 if exit_atom is not None:
-                    exit_atom.trace_block = last_block
                     exit_atoms.append(exit_atom)
 
         for label, op in stub_queue:
@@ -211,8 +191,7 @@ class CodeGenerator:
             molecules.append(head)
             tail = Molecule()
             exit_atom = Atom(AtomKind.EXIT, exit_target=op.exit_target,
-                             guest_addr=op.guest_addr,
-                             trace_block=trace_block_of(op))
+                             guest_addr=op.guest_addr)
             tail.add(exit_atom)
             molecules.append(tail)
             exit_atoms.append(exit_atom)
@@ -235,11 +214,7 @@ class CodeGenerator:
             guest_instr_count=len(region.instrs),
             exit_atoms=exit_atoms,
             prologue_label="prologue" if prologue else None,
-            trace_blocks=region.num_blocks,
-            block_entries=(tuple(region.block_entries)
-                           or (region.entry_eip,)),
             modeled_cycles=schedule.modeled_cycles,
-            loop_trace=region.end is RegionEnd.LOOP,
         )
         return translation
 

@@ -1,8 +1,7 @@
-"""Port/latency cost model for the VLIW scheduler and trace growth.
+"""Port/latency cost model for the VLIW scheduler.
 
 The scheduler used to optimize raw molecule count.  This module gives
-it (and the trace-growth heuristic) a shared machine model in the uiCA
-idiom: per-atom-class tables — issue-port widths (the throughput side)
+it a machine model in the uiCA idiom: per-atom-class tables — issue-port widths (the throughput side)
 and result latencies (the dependence side) — plus a *completion time*
 metric over a placed schedule.  Modeled cycles for a schedule are the
 cycle in which the last result becomes available, not merely the number
@@ -14,12 +13,6 @@ The tables mirror ``host.molecule`` (``SLOT_CLASSES`` / ``LATENCIES``):
 two ALUs, one memory unit, one FP/media unit, one branch unit, at most
 four atoms per molecule (§2).  They are defined once here and consumed
 by ``translator.schedule``; keeping one source of truth is the point.
-
-Trace-growth economics (§3.6.5-adjacent): extending a translation
-across a biased branch saves a dispatcher round trip on the likely path
-but costs a side-exit stub on the unlikely one.  ``extension_gain``
-prices that trade in modeled cycles using the probability mass that
-execution actually reaches the candidate block.
 """
 
 from __future__ import annotations
@@ -72,11 +65,7 @@ _PORT_PREFS: dict[IROpKind, tuple[str, ...]] = {
 class MachineCostModel:
     """Latency/throughput tables plus derived metrics.
 
-    Frozen: a model is a pure table set, shared between the scheduler
-    and the trace builder.  ``dispatch_cycles`` and ``side_exit_cycles``
-    price the dispatcher round trip a trace extension avoids and the
-    stub executed when a side exit fires (mirroring the accounting
-    model's ``dispatch_lookup`` charge and the two-molecule exit stub).
+    Frozen: a model is a pure table set.
     """
 
     latencies: dict[IROpKind, int] = field(default_factory=lambda:
@@ -85,8 +74,6 @@ class MachineCostModel:
     mul_latency: int = _MUL_LATENCY
     ports: dict[str, int] = field(default_factory=lambda: dict(_PORTS))
     issue_width: int = _ISSUE_WIDTH
-    dispatch_cycles: int = 14
-    side_exit_cycles: int = 4
 
     def latency(self, op: IROp) -> int:
         if op.kind in (IROpKind.ALU, IROpKind.ALUI) and op.aluop in _MUL_OPS:
@@ -114,18 +101,6 @@ class MachineCostModel:
                 if done > modeled:
                     modeled = done
         return modeled
-
-    def extension_gain(self, reach: float) -> float:
-        """Expected modeled-cycle gain of growing a trace by one block.
-
-        ``reach`` is the probability that execution entering the trace
-        reaches the candidate block (the product of the followed-
-        direction probabilities of every conditional branch before it).
-        The likely path saves a dispatcher round trip; the unlikely
-        paths pay a side-exit stub they would not otherwise execute.
-        """
-        return reach * self.dispatch_cycles - (1.0 - reach) \
-            * self.side_exit_cycles
 
 
 DEFAULT_COST_MODEL = MachineCostModel()

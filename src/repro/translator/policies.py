@@ -30,12 +30,6 @@ class TranslationPolicy:
     # Region shaping.
     max_instructions: int = 200  # paper: regions of up to 200 instrs
     commit_interval: int = 24  # guest instrs between mid-trace commits
-    max_blocks: int = 8  # superblock cap; 1 disables trace formation
-    # Loop unrolling is an *earned* aggression: off at first translation
-    # (cheap, low latency) and switched on by the dispatcher only for
-    # loops that prove hot at runtime — the adaptive-retranslation story
-    # of the paper applied upward instead of downward.
-    unroll_loops: bool = False
 
     # Self-modifying-code strategies (§3.6).
     self_check: bool = False  # verify code bytes on every entry (§3.6.3)
@@ -61,13 +55,6 @@ class TranslationPolicy:
             max_instructions=min(self.max_instructions,
                                  other.max_instructions),
             commit_interval=min(self.commit_interval, other.commit_interval),
-            max_blocks=min(self.max_blocks, other.max_blocks),
-            # The one deliberately *upward* dial: once either side has
-            # earned the unroll, it sticks (otherwise the base policy
-            # would erase it on every controller merge).  Conservatism
-            # still wins overall because ``max_blocks`` — min-merged —
-            # gates whether the unroll can actually grow anything.
-            unroll_loops=self.unroll_loops or other.unroll_loops,
             self_check=self.self_check or other.self_check,
             self_revalidate=self.self_revalidate or other.self_revalidate,
             group_enabled=self.group_enabled and other.group_enabled,
@@ -93,10 +80,6 @@ class TranslationPolicy:
             parts.append("no-control-spec")
         if self.max_instructions != 200:
             parts.append(f"max={self.max_instructions}")
-        if self.max_blocks != 8:
-            parts.append(f"blocks={self.max_blocks}")
-        if self.unroll_loops:
-            parts.append("unroll")
         if self.self_check:
             parts.append("self-check")
         if self.self_revalidate:

@@ -41,30 +41,16 @@ class RegionEnd(enum.Enum):
 
 @dataclass
 class Region:
-    """A selected trace, ready for the frontend.
-
-    ``block_bounds``/``block_entries`` describe superblock structure
-    when the trace builder chained several selector blocks together:
-    ``block_bounds[k]`` is the index into ``instrs`` where constituent
-    block ``k`` starts and ``block_entries[k]`` its guest entry address.
-    A plain single-block region leaves them empty (equivalent to
-    ``[0]`` / ``[entry_eip]``).
-    """
+    """A selected trace, ready for the frontend."""
 
     entry_eip: int
     instrs: list[Instruction] = field(default_factory=list)
     follow_taken: dict[int, bool] = field(default_factory=dict)
     end: RegionEnd = RegionEnd.CONT
     end_target: int | None = None
-    block_bounds: list[int] = field(default_factory=list)
-    block_entries: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.instrs)
-
-    @property
-    def num_blocks(self) -> int:
-        return max(1, len(self.block_entries))
 
     @property
     def addresses(self) -> set[int]:
@@ -82,9 +68,8 @@ class Region:
         return [(start, end - start) for start, end in merged]
 
     def describe(self) -> str:
-        blocks = f" blocks={self.num_blocks}" if self.num_blocks > 1 else ""
         return (
-            f"region@{self.entry_eip:#x} n={len(self.instrs)}{blocks} "
+            f"region@{self.entry_eip:#x} n={len(self.instrs)} "
             f"end={self.end.name}"
             + (f"->{self.end_target:#x}" if self.end_target is not None else "")
         )

@@ -1,9 +1,9 @@
 """Unit tests for the port/latency cost model (``translator.costmodel``).
 
-The model is the arbiter for both schedule quality and trace growth, so
-it must be deterministic, monotone in molecule count for serial code,
-and strictly prefer a packed placement of an ILP kernel over the serial
-placement of the same operations.
+The model is the arbiter of schedule quality, so it must be
+deterministic, monotone in molecule count for serial code, and strictly
+prefer a packed placement of an ILP kernel over the serial placement of
+the same operations.
 """
 
 from __future__ import annotations
@@ -83,15 +83,3 @@ class TestPackedPreference:
         serial = [[op] for op in ops]
         assert DEFAULT_COST_MODEL.completion_cycles(packed) < \
             DEFAULT_COST_MODEL.completion_cycles(serial)
-
-
-class TestExtensionGain:
-    def test_high_reach_pays_low_reach_does_not(self):
-        model = DEFAULT_COST_MODEL
-        assert model.extension_gain(0.95) > 0
-        assert model.extension_gain(0.05) < 0
-
-    def test_gain_is_monotone_in_reach(self):
-        model = DEFAULT_COST_MODEL
-        gains = [model.extension_gain(r / 10) for r in range(11)]
-        assert gains == sorted(gains)

@@ -344,7 +344,7 @@ class TestStagedCompilation:
         _assert_same_as_vliw(HOT_LOOP, FAST, system, result)
         loop = max(system.tcache.translations(),
                    key=lambda t: t.executions_molecules)
-        assert loop.loop_trace and loop.entries == 1
+        assert loop.entries == 1
         [(info, runs)] = [entry for entry in log.dispatches
                           if entry[0].translations_entered[0] is loop]
         # One cold VLIW run, stopped at the back-edge once hot...

@@ -6,10 +6,14 @@ import pytest
 
 from repro.cache.groups import TranslationGroups
 from repro.cache.tcache import Translation, TranslationCache
+from repro.cms.config import CMSConfig
 from repro.host.atoms import Atom, AtomKind
 from repro.host.molecule import Molecule
+from repro.isa.assembler import assemble
 from repro.memory.physical import PAGE_SIZE
 from repro.translator.policies import TranslationPolicy
+
+from conftest import run_cms
 
 
 def make_translation(entry=0x1000, length=32, molecules=4,
@@ -234,3 +238,67 @@ class TestGroups:
         groups.retire(b)
         assert groups.match(0x1000, b"\x01" * 32) is a
         assert groups.match(0x2000, b"\x01" * 32) is b
+
+
+# A nested counted loop: the inner loop's translation gets hot enough
+# for the template JIT to compile it.
+HOT_NEST = """
+        mov edi, 60
+        mov eax, 0
+        mov ebx, 0
+        mov edx, 0
+        mov ebp, 0
+outer:  mov ecx, 50
+inner:  add eax, 1
+        add ebx, 3
+        add edx, 5
+        add ebp, 7
+        xor eax, ebx
+        sub ecx, 1
+        jnz inner
+        sub edi, 1
+        jnz outer
+        hlt
+"""
+HOT_NEST_CONFIG = CMSConfig(translation_threshold=4)
+
+
+class TestFlushDropsParkedCallables:
+    """Regression: ``tcache.flush()`` nulled ``host_code`` on resident
+    translations but left compiled JIT callables alive on group-parked
+    retired versions — a whole generation of generated functions kept
+    reachable by the group table after the cache decided to drop
+    everything."""
+
+    def test_flush_drops_parked_host_code(self):
+        system, _ = run_cms(HOT_NEST, HOT_NEST_CONFIG)
+        loop = system.tcache.lookup(assemble(HOT_NEST).symbols["inner"])
+        assert loop is not None
+        assert loop.host_code is not None, "JIT should have compiled it"
+        # Park it the way SMC version churn does: out of the cache,
+        # into the group table, callable still attached.
+        system.tcache.remove(loop)
+        system.groups.retire(loop)
+        assert loop.host_code is not None
+
+        system.tcache.flush()
+
+        parked = [t for versions in
+                  system.groups.export_versions().values()
+                  for t in versions]
+        assert loop in parked, "flush must not drop the version itself"
+        assert all(t.host_code is None for t in parked), \
+            "flush left compiled callables on group-parked versions"
+
+    def test_flush_drops_resident_host_code(self):
+        system, _ = run_cms(HOT_NEST, HOT_NEST_CONFIG)
+        residents = system.tcache.translations()
+        assert any(t.host_code is not None for t in residents)
+        system.tcache.flush()
+        assert all(t.host_code is None for t in residents)
+
+    def test_evicted_victims_lose_host_code(self):
+        system, _ = run_cms(HOT_NEST, HOT_NEST_CONFIG)
+        victims = system.tcache.evict_cold(fraction=1.0)
+        assert victims
+        assert all(t.host_code is None for t in victims)
