@@ -30,8 +30,7 @@ operation by careful scheduling, inserting no-ops if necessary" (§2),
 so schedule length is honestly visible in the executed-molecule metric.
 
 Issue widths, per-class latencies, and the modeled-cycle (completion
-time) objective all come from ``translator.costmodel`` — the same
-tables the trace-growth heuristic prices extensions with.
+time) objective all come from ``translator.costmodel``.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ class TestCLI:
 
     def test_top_marks_translations_below_compile_threshold(self,
                                                             capsys):
-        # dos_boot: two hot loop traces get templates, the rest of its
+        # dos_boot: its hot loop regions get templates, the rest of its
         # translations never cross the compile threshold.
         assert main(["top", "dos_boot", "--count", "20"]) == 0
         rows = [line.split() for line in
