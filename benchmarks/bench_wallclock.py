@@ -3,9 +3,9 @@
 Every other benchmark in this directory compares *molecule counts* —
 the paper's metric, measuring the quality of the code CMS generates.
 This one times the *host*: how many guest instructions per second the
-reproduction retires, and how much the engineering dials in
-``CMSConfig`` (decode cache, fast bus routing, the software TLB and
-the template JIT) buy over the seed's execution paths.  The two
+reproduction retires, and how much the two engineering dials in
+``CMSConfig`` (the decode cache and the template JIT) buy over
+``CMSConfig.seed_performance()``, which turns both off.  The two
 metrics are deliberately orthogonal: every row below asserts that
 console output and molecule counts are bit-identical with the
 optimizations on and off, so the dials can never change *what* is
@@ -18,18 +18,14 @@ workload, and the **headline gate** asserts the paper's premise holds
 in wall-clock terms: with the template JIT on, the CMS path beats
 interpretation on every workload (``cms_vs_interp_speedup >= 1.0``,
 measured margins are 2-4x).  The interpreter-dominated quake row keeps
-its own 2x optimized-vs-seed gate.
+its own optimized-vs-seed gate.  Bisect bus routing and the software
+TLB are on in both of its legs, and the template JIT does nothing
+without translations, so that row measures the decode cache alone.
 
 The ablation attributes the win per dial, each measured best-of-3 on a
 run mode where its mechanism is actually live (the template JIT is a
 no-op interpreter-only; the decode cache is most of the interpreter's
-win).  ``decode_cache`` and ``template_jit`` have decisive margins and
-hard floors; ``fast_bus_routing`` buys only a few percent at workload
-scale — below run-to-run noise — so its row gates at "never hurts"
-(>= 0.85 best-of-3) and the routing win is instead asserted
-deterministically by a mechanism-level micro-benchmark (bisect +
-RAM-run short-circuit vs the seed's linear scan over a mixed RAM/MMIO
-address sample).
+win).  Both dials have decisive margins and hard floors.
 
 Results land in three places: the usual ``results.txt`` table, a
 machine-readable ``BENCH_wallclock.json`` at the repo root, and the
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 from common import BASELINE, emit_telemetry, print_table, run_timed
 
@@ -62,31 +57,19 @@ ROWS = [
 ]
 INTERP_DOMINATED = ("quake_demo2", True)
 
-# Interp-dominated row, optimized vs seed paths.  The seed side runs
-# with every dial off, so it includes the bus's linear region scan
-# (``fast_bus_routing=False``); with bisect routing made unconditional
-# the same full run read 1.92-2.20x (EXPERIMENTS.md, "Block device
-# writes and RAM runs").  Deleting that dial first means redefining
-# this reference.
-MIN_SPEEDUP = 2.0
+# Interp-dominated row, decode cache on vs off (see module docstring).
+# Ten full runs read 2.08-2.31x (EXPERIMENTS.md, "Wall-clock CI gates");
+# the floor sits 28% below the lowest of them.
+MIN_SPEEDUP = 1.5
 MIN_CMS_SPEEDUP = 1.0  # every workload: CMS path vs interpreter-only
 
 # Per-dial ablation: (dial, workload, interp_only?, min slowdown_without).
-# Each dial is measured on a mode where its mechanism is exercised;
-# floors below 1.0 are noise guards for percent-level dials (see module
-# docstring), not claims that the dial is free.
+# Each dial is measured on a mode where its mechanism is exercised.
 ABLATIONS = (
     ("decode_cache", "compress", True, 1.3),
-    ("fast_bus_routing", "multimedia", True, 0.85),
     ("template_jit", "compress", False, 1.5),
-    # The software TLB is live on any paged workload: with it off,
-    # every access (and every dispatcher mapping probe) walks the
-    # guest page table through the bus.
-    ("mmu_tlb", "dos_boot", True, 0.85),
 )
 ABLATION_ROUNDS = 3  # best-of-N timing for every ablation config
-
-MIN_ROUTING_MICRO_SPEEDUP = 1.2  # bisect routing vs linear scan
 
 
 def _budget() -> int | None:
@@ -203,42 +186,6 @@ def _ablate(budget: int | None) -> dict:
     return out
 
 
-def _routing_micro() -> dict:
-    """Mechanism-level gate for ``fast_bus_routing``: the bisect +
-    RAM-run routing must beat the seed's linear region scan on a
-    mixed RAM/MMIO address sample.  Deterministic where the workload
-    ablation is percent-level noise."""
-    from repro.machine import Machine
-
-    bus = Machine().bus
-    addrs = (
-        [(i * 7919) % (1 << 22) for i in range(2048)]
-        + [0xFFF00000 + (i % 4096) for i in range(512)]
-        + [0x000A0000 + (i % 65536) for i in range(512)]
-    )
-
-    def sweep(fast: bool) -> float:
-        bus.set_fast_routing(fast)
-        best = float("inf")
-        for _ in range(ABLATION_ROUNDS):
-            start = time.perf_counter()
-            for _ in range(20):
-                for addr in addrs:
-                    bus.is_io(addr, 4)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    sweep(True)  # warm up allocator/caches off the books
-    fast_secs = sweep(True)
-    linear_secs = sweep(False)
-    return {
-        "fast_seconds": round(fast_secs, 4),
-        "linear_seconds": round(linear_secs, 4),
-        "micro_speedup": round(linear_secs / fast_secs, 3)
-        if fast_secs else 0.0,
-    }
-
-
 def _collect() -> dict:
     budget = _budget()
     workloads = {}
@@ -250,7 +197,6 @@ def _collect() -> dict:
         "budget": budget,
         "workloads": workloads,
         "ablation": _ablate(budget),
-        "routing_micro": _routing_micro(),
     }
 
 
@@ -282,11 +228,6 @@ def _emit(report: dict) -> None:
             f"({entry['workload']}, {entry['mode']}, "
             f"best of {ABLATION_ROUNDS})",
         ))
-    micro = report["routing_micro"]
-    table.append((
-        "routing micro",
-        f"bisect {micro['micro_speedup']:.2f}x vs linear scan",
-    ))
     budget = report["budget"]
     print_table(
         "Wall-clock (host instructions/second, optimizations vs seed)",
@@ -328,12 +269,6 @@ def _check(report: dict) -> None:
             f"{entry['min_slowdown']}x on {entry['workload']} "
             f"({entry['mode']})"
         )
-    micro = report["routing_micro"]
-    assert micro["micro_speedup"] >= MIN_ROUTING_MICRO_SPEEDUP, (
-        f"routing micro-benchmark: bisect only "
-        f"{micro['micro_speedup']:.2f}x vs linear "
-        f"(< {MIN_ROUTING_MICRO_SPEEDUP}x)"
-    )
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ A snapshot is a single versioned JSON file holding:
 * the :class:`~repro.cms.retranslation.AdaptiveController`'s
   accumulated per-region policies, per-site fault counters, and
   code-identity map (monotone learning survives the restart);
-* the interpreter's execution profile (anchor/exec counts, branch
-  bias, observed-MMIO and page-table-store sites), so warm regions stay
+* the interpreter's execution profile (anchor counts, branch bias,
+  observed-MMIO and page-table-store sites), so warm regions stay
   above threshold;
 * a digest of the semantically relevant ``CMSConfig`` dials, so a
   snapshot taken under a different speculation/SMC dial set is
@@ -53,15 +53,15 @@ from repro.host.molecule import Molecule, Slot
 from repro.translator.policies import TranslationPolicy
 
 SNAPSHOT_FORMAT = "repro-cms-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: CMSConfig fields that never affect what a translation computes or
 #: whether it is valid: run-local observability, host-speed dials,
 #: chaos injection, and the snapshot dials themselves.
 _CONFIG_EXCLUDE = frozenset({
     "snapshot_path", "snapshot_save", "snapshot_strict_config",
-    "obs_enabled", "obs_jsonl_path", "obs_histogram_buckets",
-    "decode_cache", "fast_bus_routing", "template_jit", "mmu_tlb",
+    "obs_enabled", "obs_jsonl_path",
+    "decode_cache", "template_jit",
     "chaos_rate", "chaos_seed", "chaos_tenant",
 })
 
@@ -264,8 +264,6 @@ def build_payload(system) -> dict:
         "profile": {
             "anchor_counts": {str(k): v for k, v
                               in profile.anchor_counts.items() if v},
-            "exec_counts": {str(k): v for k, v
-                            in profile.exec_counts.items() if v},
             "branch_bias": {str(k): [b.taken, b.not_taken]
                             for k, b in profile.branch_bias.items()},
             "mmio_sites": sorted(profile.mmio_sites),
@@ -414,8 +412,6 @@ def _apply_payload(system, payload: dict,
     profile = system.profile
     for key, value in profile_data["anchor_counts"].items():
         profile.anchor_counts[int(key)] += int(value)
-    for key, value in profile_data["exec_counts"].items():
-        profile.exec_counts[int(key)] += int(value)
     for key, (taken, not_taken) in profile_data["branch_bias"].items():
         bias = profile.branch_bias.get(int(key))
         if bias is None:

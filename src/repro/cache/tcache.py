@@ -132,9 +132,6 @@ class Translation:
                 return True
         return False
 
-    def code_hash(self) -> int:
-        return hash(self.code_snapshot)
-
     def code_digest(self) -> str:
         """Process-stable identity of the guest bytes this implements."""
         return digest_bytes(self.code_snapshot)

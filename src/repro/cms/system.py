@@ -126,10 +126,6 @@ class CodeMorphingSystem:
         self.tcache.on_evict = self._on_tcache_evict
         self._halted = False
 
-        # Wall-clock engineering dials (cost-model-invisible; the
-        # benchmark harness flips them for attribution).
-        machine.bus.set_fast_routing(config.fast_bus_routing)
-        machine.mmu.set_tlb_enabled(config.mmu_tlb)
         # Mapping-coherency feed (§3.6.1 under paging): when a page
         # table mutation touches a page that carries translated code,
         # chains into its translations are severed so the dispatcher
@@ -137,7 +133,7 @@ class CodeMorphingSystem:
         machine.mmu.mapping_observers.append(self._on_mapping_changed)
         # Template JIT (PR 6): committed translations lowered to
         # generated Python (host/jit.py).  Semantics-invisible like the
-        # other wall-clock dials; degraded ladder tiers and quarantined
+        # decode cache; degraded ladder tiers and quarantined
         # regions keep the simulated-VLIW path.
         self.jit = (TemplateJIT(self.cpu, stats=self.stats,
                                 phases=self._phases)

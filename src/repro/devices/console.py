@@ -29,10 +29,6 @@ class Console:
     def output(self) -> str:
         return self._output.decode("latin-1")
 
-    @property
-    def output_bytes(self) -> bytes:
-        return bytes(self._output)
-
     def attach(self, ports: PortBus, data_port: int = 0xE9,
                status_port: int = 0xEA) -> None:
         ports.register(data_port, reader=lambda: 0, writer=self._write_char)

@@ -26,10 +26,6 @@ class Framebuffer:
         self.frames = 0
         self.mmio_accesses = 0
 
-    @property
-    def pixels(self) -> bytes:
-        return bytes(self._pixels)
-
     def checksum(self) -> int:
         """Order-sensitive checksum of the current frame contents."""
         total = 0

@@ -38,7 +38,7 @@ from repro.fleet.supervisor import FleetSupervisor
 from repro.fleet.tenant import Tenant
 from repro.fuzz.genprog import FuzzProgram, generate
 from repro.fuzz.inject import FaultInjector
-from repro.fuzz.oracle import RunOutcome, compare, execute
+from repro.fuzz.oracle import capture_outcome, compare, execute
 
 FLEET_CHAOS_MODES = ("kill-tenant", "corrupt-shared-entry",
                      "storm-one-tenant")
@@ -132,28 +132,6 @@ class FleetCampaignResult:
         return not self.contaminations and self.uncontained == 0
 
 
-def tenant_outcome(tenant: Tenant, program: FuzzProgram) -> RunOutcome:
-    """A fleet tenant's final architectural state, oracle-shaped."""
-    system = tenant.system
-    machine = system.machine
-    regs, eip, flags = system.state.snapshot()
-    ram = bytearray(machine.ram.read_bytes(0, machine.ram.size))
-    for start, end in program.ram_masks():
-        ram[start:end] = b"\x00" * (end - start)
-    result = tenant.result
-    return RunOutcome(
-        halted=result.halted if result is not None else False,
-        console=machine.console.output,
-        regs=regs,
-        eip=eip,
-        flags=flags,
-        ram=bytes(ram),
-        exceptions=system.interpreter.exceptions_delivered,
-        interrupts=system.interpreter.interrupts_delivered,
-        guest_instructions=machine.instructions_retired,
-    )
-
-
 #: Fuzz programs retire a few hundred guest instructions, so slices
 #: must be small for a trial to span enough scheduling rounds that a
 #: mid-run kill, corruption, or storm actually interleaves with the
@@ -242,7 +220,8 @@ def run_fleet_trial(seed: int, tenants: int = 3,
                 f"{tenant.spec.tenant_id} ended {tenant.state.value} "
                 f"(last error: {tenant.last_error})")
             continue
-        diffs = compare(reference, tenant_outcome(tenant, program))
+        diffs = compare(reference, capture_outcome(tenant.system,
+                                                   program.ram_masks()))
         for diff in diffs:
             report.divergences.append(
                 f"seed {seed} mode {mode} tenant "

@@ -29,7 +29,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.cms.stats import HealthReport
 from repro.fleet.config import FleetConfig, TenantSpec
 from repro.fleet.share import SharedTranslationService
 from repro.fleet.tenant import Tenant, TenantState
@@ -356,15 +355,6 @@ class FleetSupervisor:
             "healthy": report.healthy,
         })
         return report
-
-    def tenant_health_reports(self) -> dict[int, HealthReport]:
-        """Per-tenant CMS health reports (live tenants only)."""
-        out: dict[int, HealthReport] = {}
-        for tenant in self.tenants:
-            if tenant.system is not None:
-                out[tenant.spec.tenant_id] = \
-                    tenant.system.health_report(run_audit=True)
-        return out
 
     def _emit(self, kind: str, payload: dict) -> None:
         if self.telemetry is None:

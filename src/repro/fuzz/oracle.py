@@ -18,9 +18,11 @@ halting, see ``genprog``).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.cms.config import CMSConfig
+from repro.cms.degrade import derive_seed
 from repro.cms.system import CodeMorphingSystem
 from repro.fuzz.genprog import FuzzProgram, generate
 from repro.fuzz.inject import FaultInjector
@@ -92,8 +94,7 @@ def default_matrix() -> tuple[DialVariant, ...]:
         # Template staging at the runtime compile threshold: a
         # translation starts on the simulated VLIW, its exits chain
         # through the JIT driver, and once hot it switches to its
-        # template mid-dispatch.  (Appended last so the chaos seeds
-        # derived from each variant's index stay put.)
+        # template mid-dispatch.
         DialVariant("lazy-jit", _BASE, lazy_jit=True),
     )
 
@@ -105,16 +106,18 @@ def chaos_matrix(variants: tuple[DialVariant, ...], rate: float,
     The reference engine stays chaos-free (it never translates), so a
     chaos campaign checks the full containment contract: injected
     internal translator failures must never change architectural
-    outcomes — only make the run slower.
+    outcomes — only make the run slower.  Each variant's chaos stream
+    is seeded from its name, so adding or deleting a variant leaves
+    every other variant's stream where it was.
     """
     return tuple(
         replace(
             variant,
             name=f"{variant.name}+chaos",
             config=replace(variant.config, chaos_rate=rate,
-                           chaos_seed=seed * 7_919 + index),
+                           chaos_seed=derive_seed(seed, 0, variant.name)),
         )
-        for index, variant in enumerate(variants)
+        for variant in variants
     )
 
 
@@ -141,6 +144,33 @@ class RunOutcome:
     guest_instructions: int
 
 
+def capture_outcome(system: CodeMorphingSystem,
+                    ram_masks: Iterable[tuple[int, int]]) -> RunOutcome:
+    """The architectural outcome of a finished ``system``.
+
+    ``ram_masks`` are ``(start, end)`` ranges zeroed before the RAM is
+    compared (scratch whose contents are not architecturally pinned).
+    Halted, console and instruction count are the values a
+    ``RunResult`` of the same run carries.
+    """
+    machine = system.machine
+    regs, eip, flags = system.state.snapshot()
+    ram = bytearray(machine.ram.read_bytes(0, machine.ram.size))
+    for start, end in ram_masks:
+        ram[start:end] = b"\x00" * (end - start)
+    return RunOutcome(
+        halted=system.halted,
+        console=machine.console.output,
+        regs=regs,
+        eip=eip,
+        flags=flags,
+        ram=bytes(ram),
+        exceptions=system.interpreter.exceptions_delivered,
+        interrupts=system.interpreter.interrupts_delivered,
+        guest_instructions=machine.instructions_retired,
+    )
+
+
 def execute(program: FuzzProgram, config: CMSConfig,
             max_instructions: int = 400_000,
             cms_factory=None, lazy_jit: bool = False) -> RunOutcome:
@@ -160,23 +190,9 @@ def execute(program: FuzzProgram, config: CMSConfig,
         cms_factory(system)
     if program.plan is not None:
         FaultInjector(machine, program.plan)
-    result = system.run(entry, max_instructions=max_instructions)
+    system.run(entry, max_instructions=max_instructions)
     system.shutdown()  # persists the warm-start snapshot when configured
-    regs, eip, flags = system.state.snapshot()
-    ram = bytearray(machine.ram.read_bytes(0, machine.ram.size))
-    for start, end in program.ram_masks():
-        ram[start:end] = b"\x00" * (end - start)
-    return RunOutcome(
-        halted=result.halted,
-        console=result.console_output,
-        regs=regs,
-        eip=eip,
-        flags=flags,
-        ram=bytes(ram),
-        exceptions=system.interpreter.exceptions_delivered,
-        interrupts=system.interpreter.interrupts_delivered,
-        guest_instructions=result.guest_instructions,
-    )
+    return capture_outcome(system, program.ram_masks())
 
 
 def execute_roundtrip(program: FuzzProgram, config: CMSConfig,

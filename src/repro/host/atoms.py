@@ -112,14 +112,6 @@ class Atom:
     # body (§3.6.2).
     prologue_success: bool = False
 
-    def writes_reg(self) -> int | None:
-        """Destination register, if the atom writes one."""
-        if self.kind in (AtomKind.MOVI, AtomKind.MOV, AtomKind.ALU,
-                         AtomKind.ALUI, AtomKind.SEL, AtomKind.LD,
-                         AtomKind.PORT_IN, AtomKind.DIVU, AtomKind.DIVS):
-            return self.rd
-        return None
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         k = self.kind
         if k is AtomKind.MOVI:

@@ -98,14 +98,6 @@ class Molecule:
         self.atoms.append(atom)
         self.slots.append(slot)
 
-    @property
-    def has_branch(self) -> bool:
-        return any(
-            a.kind in (AtomKind.BR, AtomKind.BRZ, AtomKind.BRNZ,
-                       AtomKind.EXIT, AtomKind.FAIL)
-            for a in self.atoms
-        )
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         label = f"{self.label}: " if self.label else ""
         body = " ; ".join(str(a) for a in self.atoms) or "nop"

@@ -88,12 +88,6 @@ class GatedStoreBuffer:
             self.forwarded_loads += 1
         return merged
 
-    def has_overlap(self, paddr: int, size: int) -> bool:
-        """True if any buffered byte overlaps [paddr, paddr+size)."""
-        if paddr >= self._hi or paddr + size <= self._lo:
-            return False
-        return any(paddr + i in self._overlay for i in range(size))
-
     def drain(self, bus) -> int:
         """Release all buffered stores to the memory system, in order."""
         count = len(self._entries)

@@ -143,7 +143,6 @@ class Interpreter:
             return StepOutcome(addr=addr, took_exception=True)
         self.steps += 1
         if self.profile is not None:
-            self.profile.on_exec(addr)
             if self._touched_mmio:
                 self.profile.on_mmio(addr)
             if self._touched_pt:
@@ -204,11 +203,6 @@ class Interpreter:
         state.set_flag(IF_SLOT, 0)
         state.eip = self._read_vector(exc.vector)
         self.exceptions_delivered += 1
-
-    def deliver_guest_exception(self, exc: GuestException,
-                                instr_addr: int) -> None:
-        """Public hook used by CMS to deliver a fault found during recovery."""
-        self._deliver_exception(exc, instr_addr)
 
     # ------------------------------------------------------------------
     # Data access helpers (order matters for precision)

@@ -2,10 +2,11 @@
 
 Paper §2: the interpreter collects "data on execution frequency, branch
 directions, and memory-mapped I/O operations" while it runs.  The
-translator consumes this profile: execution counts trigger translation
-at the threshold, branch bias steers trace growth through conditional
-branches, and the observed-MMIO set lets the translator avoid
-speculatively reordering accesses it already knows touch devices.  The
+translator consumes this profile: execution counts at translation
+anchors trigger translation at the threshold, branch bias picks the
+direction region selection follows through a conditional branch, and
+the observed-MMIO set lets the translator avoid speculatively
+reordering accesses it already knows touch devices.  The
 page-table-store set is the same idea for the MMU: instructions seen
 storing into the live page table stay in the interpreter, where the
 store is visible to the next table walk at once.
@@ -37,11 +38,10 @@ class BranchBias:
 
 
 class ExecutionProfile:
-    """Per-address execution counts, branch bias, and MMIO and
+    """Anchor execution counts, branch bias, and MMIO and
     page-table-store observations."""
 
     def __init__(self) -> None:
-        self.exec_counts: Counter[int] = Counter()
         self.branch_bias: dict[int, BranchBias] = {}
         self.mmio_sites: set[int] = set()
         self.pt_store_sites: set[int] = set()
@@ -51,9 +51,6 @@ class ExecutionProfile:
         # to anchors, so translations start at real control-flow join
         # points rather than mid-trace.
         self.anchor_counts: Counter[int] = Counter()
-
-    def on_exec(self, addr: int) -> None:
-        self.exec_counts[addr] += 1
 
     def on_branch(self, addr: int, taken: bool) -> None:
         bias = self.branch_bias.get(addr)

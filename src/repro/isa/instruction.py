@@ -69,16 +69,6 @@ class Instruction:
     # ------------------------------------------------------------------
 
     @property
-    def is_control_flow(self) -> bool:
-        return self.kind in (
-            Kind.BRANCH,
-            Kind.COND_BRANCH,
-            Kind.CALL,
-            Kind.RET,
-            Kind.INDIRECT,
-        )
-
-    @property
     def branch_target(self) -> int:
         """Target of a direct (REL-format) branch or call."""
         assert self.info.fmt is Fmt.REL and self.addr is not None

@@ -24,13 +24,10 @@ one run can never be I/O and cannot fall off the end of RAM.
 
 Routing is the hottest query in the whole simulator (every data access
 and, without the decode cache, every code byte consults it), so the
-rest runs over base-sorted region arrays with ``bisect``.  The naive
-linear scan survives as the reference implementation:
-``set_fast_routing(False)`` switches ``read``/``write``/``is_io``/
-``region_at`` back to it (the seed behavior) for ablation runs, and the
-property tests check the two agree on randomized region layouts.  Both
-``region_at`` and ``is_io`` route through the same sorted-probe helper,
-so there is a single routing implementation per mode.
+rest runs over base-sorted region arrays with ``bisect``.  The seed's
+linear scan over ``regions`` lives on only inside the routing property
+test, which checks ``region_at``, ``is_io`` and the ``read``/``write``
+paths against it on randomized region layouts.
 """
 
 from __future__ import annotations
@@ -64,9 +61,6 @@ class MMIORegion:
     handler: MMIOHandler
     name: str = "mmio"
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.size
-
 
 class MemoryBus:
     """Routes physical accesses to RAM or MMIO regions.
@@ -96,16 +90,11 @@ class MemoryBus:
         self.store_observers: list[Callable[[int, int], None]] = []
         self.io_reads = 0
         self.io_writes = 0
-        self.fast_routing = True
         # Base-sorted routing arrays, rebuilt by add_region.
         self._sorted_regions: list[MMIORegion] = []
         self._bases: list[int] = []
         self._ends: list[int] = []
         self._set_ram_runs()
-
-    def set_fast_routing(self, enabled: bool) -> None:
-        """Select bisect routing (default) or the linear reference."""
-        self.fast_routing = bool(enabled)
 
     def add_region(self, region: MMIORegion) -> None:
         for existing in self.regions:
@@ -151,8 +140,6 @@ class MemoryBus:
     # ------------------------------------------------------------------
 
     def region_at(self, addr: int) -> MMIORegion | None:
-        if not self.fast_routing:
-            return self._linear_region_at(addr)
         i = bisect_right(self._bases, addr) - 1
         if i >= 0 and addr < self._ends[i]:
             return self._sorted_regions[i]
@@ -160,8 +147,6 @@ class MemoryBus:
 
     def is_io(self, addr: int, size: int = 1) -> bool:
         """True if any byte of [addr, addr+size) falls in an MMIO region."""
-        if not self.fast_routing:
-            return self._linear_is_io(addr, size)
         if self.in_ram_run(addr, size):
             return False
         i = bisect_right(self._bases, addr) - 1
@@ -169,21 +154,6 @@ class MemoryBus:
             return True
         i += 1
         return i < len(self._bases) and self._bases[i] < addr + size
-
-    # The seed's linear scans, kept as the executable reference for
-    # ablation (`fast_routing=False`) and for the routing property test.
-
-    def _linear_region_at(self, addr: int) -> MMIORegion | None:
-        for region in self.regions:
-            if region.contains(addr):
-                return region
-        return None
-
-    def _linear_is_io(self, addr: int, size: int = 1) -> bool:
-        for region in self.regions:
-            if addr < region.base + region.size and region.base < addr + size:
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Access paths.  Reads/writes raise guest #GP for addresses that hit
@@ -199,7 +169,7 @@ class MemoryBus:
         if size != 4 and size != 1 and size != 2:
             raise ValueError(f"unsupported access size {size} "
                              f"(must be 1, 2, or 4)")
-        if self.fast_routing and self.in_ram_run(addr, size):
+        if self.in_ram_run(addr, size):
             region = None
         else:
             region = self.region_at(addr)
@@ -223,7 +193,7 @@ class MemoryBus:
         if size != 4 and size != 1 and size != 2:
             raise ValueError(f"unsupported access size {size} "
                              f"(must be 1, 2, or 4)")
-        if self.fast_routing and self.in_ram_run(addr, size):
+        if self.in_ram_run(addr, size):
             region = None
         else:
             region = self.region_at(addr)
@@ -256,8 +226,7 @@ class MemoryBus:
         of once per write.  Any other span — one that reaches MMIO,
         leaves RAM or wraps — replays the byte writes through ``write``
         exactly, MMIO side effects and the #GP of the first bad byte
-        included.  The RAM classification does not depend on
-        ``fast_routing``.
+        included.
         """
         addr &= MASK32
         if not self.in_ram_run(addr, len(data)):

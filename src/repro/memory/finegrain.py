@@ -67,11 +67,6 @@ class FineGrainCache:
         return page in self._entries
 
 
-def granule_index(addr: int) -> int:
-    """Granule number of ``addr`` within its page."""
-    return (addr & 0xFFF) // GRANULE_SIZE
-
-
 def granule_mask_for_range(start: int, end: int) -> int:
     """Bitmask of granules covering byte range [start, end) within a page.
 

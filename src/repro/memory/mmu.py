@@ -31,6 +31,12 @@ Two kinds of state live here and must never mix:
   the CMS can cheaply revalidate cached identity-mapping facts, and
   ``mapping_observers`` lets it unchain translations whose pages were
   remapped.
+
+The TLB is always on.  The differential oracle cannot show it is
+invisible, since the interpreter and CMS legs run this same MMU; a
+property test does instead, checking every result and both
+architectural counters against a walk that reads each PTE straight
+from RAM.
 """
 
 from __future__ import annotations
@@ -63,7 +69,6 @@ class MMU:
         self.translations = 0
         self.faults = 0
         # Host-side TLB + stats (never architecturally visible).
-        self.tlb_enabled = True
         self.mapping_epoch = 0
         self.mapping_observers: list[Callable[[int | None], None]] = []
         self.tlb_hits = 0
@@ -96,13 +101,6 @@ class MMU:
             self.paging_enabled = False
             self._mapping_changed(None)
 
-    def set_tlb_enabled(self, enabled: bool) -> None:
-        """Host dial: turn the software TLB off (every translation
-        walks) or on.  Architecturally invisible either way."""
-        if self.tlb_enabled != bool(enabled):
-            self.tlb_enabled = bool(enabled)
-            self._tlb.clear()
-
     # ------------------------------------------------------------------
     # Architectural translation
     # ------------------------------------------------------------------
@@ -119,11 +117,11 @@ class MMU:
             return vaddr
         self.translations += 1
         vpn = vaddr >> PAGE_SHIFT
-        pte = self._tlb.get(vpn) if self.tlb_enabled else None
+        pte = self._tlb.get(vpn)
         if pte is None:
             self.walks += 1
             pte = self._walk(vpn)
-            if self.tlb_enabled and pte & PTE_PRESENT:
+            if pte & PTE_PRESENT:
                 self._tlb[vpn] = pte
         else:
             self.tlb_hits += 1
@@ -173,14 +171,14 @@ class MMU:
             return vaddr
         self.probes += 1
         vpn = vaddr >> PAGE_SHIFT
-        pte = self._tlb.get(vpn) if self.tlb_enabled else None
+        pte = self._tlb.get(vpn)
         if pte is None:
             self.probe_walks += 1
             try:
                 pte = self._walk(vpn)
             except GuestException:
                 return None
-            if self.tlb_enabled and pte & PTE_PRESENT:
+            if pte & PTE_PRESENT:
                 self._tlb[vpn] = pte
         else:
             self.tlb_hits += 1

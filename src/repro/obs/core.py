@@ -20,7 +20,7 @@ class Observability:
     """Metrics + phases + hot-spots + telemetry for one CMS instance."""
 
     def __init__(self, config) -> None:
-        self.registry = MetricsRegistry(tuple(config.obs_histogram_buckets))
+        self.registry = MetricsRegistry()
         self.phases = PhaseProfiler()
         self.hotspots = HotSpotProfiler()
         self.telemetry = (

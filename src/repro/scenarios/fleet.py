@@ -14,19 +14,16 @@ has an exact architectural oracle.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.cms.config import CMSConfig
 from repro.cms.system import CodeMorphingSystem
 from repro.fleet.config import FleetConfig, TenantSpec
 from repro.fleet.supervisor import FleetSupervisor
-from repro.fleet.tenant import Tenant
-from repro.fuzz.oracle import RunOutcome, compare
-from repro.machine import Machine
+from repro.fuzz.oracle import RunOutcome, capture_outcome, compare
 from repro.scenarios.base import Scenario, ScenarioProgram
 from repro.scenarios.matrix import get
-from repro.scenarios.runner import DISK_SEED_SALT
+from repro.scenarios.runner import _build_machine, seed_disk
 
 
 @dataclass
@@ -49,53 +46,12 @@ class ScenarioFleetReport:
         return not self.divergences and self.uncontained == 0
 
 
-def _seed_disk(machine: Machine, prog: ScenarioProgram,
-               seed: int) -> None:
-    """Same disk-image derivation the solo runner uses."""
-    if prog.disk_sectors:
-        rng = random.Random(seed ^ DISK_SEED_SALT)
-        machine.disk.set_image(bytes(rng.randrange(256) for _
-                                     in range(prog.disk_sectors * 512)))
-
-
 def _reference(prog: ScenarioProgram, seed: int,
                base: CMSConfig) -> RunOutcome:
-    machine = Machine()
-    _seed_disk(machine, prog, seed)
-    entry = machine.load_source(prog.source)
+    machine, entry = _build_machine(prog, seed)
     oracle = CodeMorphingSystem(machine, base.interpreter_only())
-    result = oracle.run(entry, max_instructions=prog.max_instructions)
-    return _outcome_of(oracle, prog, result.halted,
-                       result.guest_instructions)
-
-
-def _outcome_of(system: CodeMorphingSystem, prog: ScenarioProgram,
-                halted: bool, guest_instructions: int) -> RunOutcome:
-    machine = system.machine
-    regs, eip, flags = system.state.snapshot()
-    ram = bytearray(machine.ram.read_bytes(0, machine.ram.size))
-    for start, end in prog.ram_masks:
-        ram[start:end] = b"\x00" * (end - start)
-    return RunOutcome(
-        halted=halted,
-        console=machine.console.output,
-        regs=regs,
-        eip=eip,
-        flags=flags,
-        ram=bytes(ram),
-        exceptions=system.interpreter.exceptions_delivered,
-        interrupts=system.interpreter.interrupts_delivered,
-        guest_instructions=guest_instructions,
-    )
-
-
-def _tenant_outcome(tenant: Tenant, prog: ScenarioProgram) -> RunOutcome:
-    result = tenant.result
-    return _outcome_of(
-        tenant.system, prog,
-        result.halted if result is not None else False,
-        tenant.system.machine.instructions_retired,
-    )
+    oracle.run(entry, max_instructions=prog.max_instructions)
+    return capture_outcome(oracle, prog.ram_masks)
 
 
 def run_scenario_fleet(scenario: Scenario | str = "paging",
@@ -136,7 +92,7 @@ def run_scenario_fleet(scenario: Scenario | str = "paging",
                                        range(tenants)):
         tenant.machine_hook = (
             lambda machine, _prog=prog, _seed=seed + tenant_id:
-            _seed_disk(machine, _prog, _seed))
+            seed_disk(machine, _prog, _seed))
     result = supervisor.run()
 
     report = ScenarioFleetReport(
@@ -158,7 +114,8 @@ def run_scenario_fleet(scenario: Scenario | str = "paging",
                 f"tenant {tenant.spec.tenant_id} ended "
                 f"{tenant.state.value} (last error: {tenant.last_error})")
             continue
-        diffs = compare(reference, _tenant_outcome(tenant, prog))
+        diffs = compare(reference,
+                        capture_outcome(tenant.system, prog.ram_masks))
         if not scenario.pin_interrupts:
             diffs = [d for d in diffs
                      if not d.startswith("interrupts_delivered:")]

@@ -27,7 +27,7 @@ from dataclasses import replace
 
 from repro.cms.config import CMSConfig
 from repro.cms.system import CodeMorphingSystem
-from repro.fuzz.oracle import RunOutcome, compare
+from repro.fuzz.oracle import RunOutcome, capture_outcome, compare
 from repro.machine import Machine
 from repro.scenarios.base import Scenario, ScenarioProgram
 from repro.scenarios.matrix import SCENARIOS, get
@@ -45,34 +45,26 @@ TIMING_MARKERS = ("seconds", "ips", "speedup", "slowdown")
 PROCESS_DEPENDENT = ("jit_code_cache_hits",)
 
 
-def _build_machine(prog: ScenarioProgram, seed: int) -> tuple[Machine, int]:
-    machine = Machine()
+def seed_disk(machine: Machine, prog: ScenarioProgram, seed: int) -> None:
+    """Give ``machine`` the disk image ``prog`` gets at ``seed``."""
     if prog.disk_sectors:
         rng = random.Random(seed ^ DISK_SEED_SALT)
         machine.disk.set_image(bytes(rng.randrange(256) for _
                                      in range(prog.disk_sectors * 512)))
+
+
+def _build_machine(prog: ScenarioProgram, seed: int) -> tuple[Machine, int]:
+    machine = Machine()
+    seed_disk(machine, prog, seed)
     entry = machine.load_source(prog.source)
     return machine, entry
 
 
 def _outcome(system: CodeMorphingSystem, prog: ScenarioProgram,
              result) -> RunOutcome:
-    machine = system.machine
-    regs, eip, flags = system.state.snapshot()
-    ram = bytearray(machine.ram.read_bytes(0, machine.ram.size))
-    for start, end in prog.ram_masks:
-        ram[start:end] = b"\x00" * (end - start)
-    return RunOutcome(
-        halted=result.halted,
-        console=result.console_output,
-        regs=regs,
-        eip=eip,
-        flags=flags,
-        ram=bytes(ram),
-        exceptions=system.interpreter.exceptions_delivered,
-        interrupts=system.interpreter.interrupts_delivered,
-        guest_instructions=result.guest_instructions,
-    )
+    """``capture_outcome`` with the scenario's masks; ``result`` is the
+    run's ``RunResult`` and carries nothing the system does not."""
+    return capture_outcome(system, prog.ram_masks)
 
 
 def _mmu_record(machine: Machine) -> dict:

@@ -64,10 +64,6 @@ class Schedule:
     hoisted_over_exits: int = 0
     modeled_cycles: int = 0
 
-    @property
-    def num_cycles(self) -> int:
-        return len(self.cycles)
-
 
 class _Dag:
     """Dependence graph over trace ops."""

@@ -172,8 +172,6 @@ def test_ram_runs_of_the_default_map():
     assert not bus.in_ram_run(0xAFFFF, 1) and bus.in_ram_run(0xB0000, 4)
     assert bus.in_ram_run((4 << 20) - 4, 4)
     assert not bus.in_ram_run((4 << 20) - 3, 4)
-    bus.set_fast_routing(False)  # block writes do not follow the dial
-    assert bus.in_ram_run(0x1000, 4)
 
 
 # ----------------------------------------------------------------------

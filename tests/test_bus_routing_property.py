@@ -1,11 +1,12 @@
-"""Fast-path bus routing agrees with the linear-scan reference.
+"""Bus routing agrees with the seed's linear scan.
 
 The bus routes every access through base-sorted arrays with ``bisect``
-(plus a pure-RAM fast path); the seed's linear scans survive as the
-executable reference (``_linear_region_at`` / ``_linear_is_io``).  The
-two implementations must agree on every address and every access size —
-including accesses that straddle a region boundary on either edge —
-for arbitrary non-overlapping region layouts.
+(plus a pure-RAM fast path).  The seed's linear scans over
+``bus.regions`` live here as the executable reference
+(``linear_region_at`` / ``linear_is_io``, and ``LinearBus`` for the
+whole read/write path).  Bus and reference must agree on every address
+and every access size — including accesses that straddle a region
+boundary on either edge — for arbitrary non-overlapping region layouts.
 """
 
 from __future__ import annotations
@@ -51,6 +52,45 @@ def build_bus(spans) -> MemoryBus:
     return bus
 
 
+def linear_region_at(bus: MemoryBus, addr: int) -> MMIORegion | None:
+    for region in bus.regions:
+        if region.base <= addr < region.base + region.size:
+            return region
+    return None
+
+
+def linear_is_io(bus: MemoryBus, addr: int, size: int) -> bool:
+    return any(addr < region.base + region.size and region.base < addr + size
+               for region in bus.regions)
+
+
+class LinearBus:
+    """The seed bus's ``read``/``write``: route by the first byte with
+    the linear scan, count MMIO accesses, and write RAM directly."""
+
+    def __init__(self, spans) -> None:
+        self.bus = build_bus(spans)
+        self.io_reads = 0
+        self.io_writes = 0
+
+    def read(self, addr: int, size: int) -> int:
+        region = linear_region_at(self.bus, addr)
+        if region is not None:
+            self.io_reads += 1
+            return region.handler.mmio_read(addr - region.base, size) & (
+                (1 << (8 * size)) - 1)
+        return int.from_bytes(self.bus.ram.read_bytes(addr, size), "little")
+
+    def write(self, addr: int, value: int, size: int) -> None:
+        region = linear_region_at(self.bus, addr)
+        if region is not None:
+            self.io_writes += 1
+            region.handler.mmio_write(addr - region.base, value, size)
+            return
+        self.bus.ram.write_bytes(
+            addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+
+
 def probe_addresses(spans) -> list[int]:
     """Boundary-heavy probe set: edges of every region plus corners."""
     probes = {0, 1, ADDR_SPACE - 8, RAM_SIZE - 4, RAM_SIZE}
@@ -63,35 +103,33 @@ def probe_addresses(spans) -> list[int]:
 @given(region_layouts(), st.lists(
     st.integers(min_value=0, max_value=ADDR_SPACE), max_size=32))
 @settings(max_examples=200, deadline=None)
-def test_fast_routing_matches_linear(spans, random_addrs):
+def test_routing_matches_linear_scan(spans, random_addrs):
     bus = build_bus(spans)
     for addr in probe_addresses(spans) + random_addrs:
-        fast_at = bus.region_at(addr)
-        assert fast_at is bus._linear_region_at(addr), hex(addr)
+        assert bus.region_at(addr) is linear_region_at(bus, addr), hex(addr)
         for size in (1, 2, 4, 16):
-            assert bus.is_io(addr, size) == bus._linear_is_io(addr, size), (
+            assert bus.is_io(addr, size) == linear_is_io(bus, addr, size), (
                 f"is_io disagrees at {addr:#x} size {size}"
             )
 
 
 @given(region_layouts())
 @settings(max_examples=100, deadline=None)
-def test_fast_and_linear_modes_access_identically(spans):
+def test_access_path_matches_linear_scan(spans):
     """Full read/write path parity, including the pure-RAM fast path
     and straddles of the lowest MMIO base."""
-    fast = build_bus(spans)
-    linear = build_bus(spans)
-    linear.set_fast_routing(False)
+    bus = build_bus(spans)
+    linear = LinearBus(spans)
     probes = [a for a in probe_addresses(spans) if a + 4 <= RAM_SIZE]
     for addr in probes:
         for size in (1, 2, 4):
-            fast.write(addr, 0xA5A5A5A5, size)
+            bus.write(addr, 0xA5A5A5A5, size)
             linear.write(addr, 0xA5A5A5A5, size)
-            assert fast.read(addr, size) == linear.read(addr, size)
-    assert fast.io_reads == linear.io_reads
-    assert fast.io_writes == linear.io_writes
-    assert (fast.ram.read_bytes(0, RAM_SIZE)
-            == linear.ram.read_bytes(0, RAM_SIZE))
+            assert bus.read(addr, size) == linear.read(addr, size)
+    assert bus.io_reads == linear.io_reads
+    assert bus.io_writes == linear.io_writes
+    assert (bus.ram.read_bytes(0, RAM_SIZE)
+            == linear.bus.ram.read_bytes(0, RAM_SIZE))
 
 
 def test_unsupported_size_uniform_and_side_effect_free():

@@ -582,6 +582,21 @@ class TestChaosMatrix:
         assert all(v.config.chaos_rate == 0.05 for v in armed)
         assert len({v.config.chaos_seed for v in armed}) == len(armed)
 
+    def test_dropping_a_variant_keeps_every_other_chaos_seed(self):
+        """A variant's chaos stream follows its name, not its position,
+        so the same campaign seed still replays an old chaos failure
+        after the matrix changes."""
+        from repro.fuzz import chaos_matrix, default_matrix
+
+        base = default_matrix()
+        seeds = {v.name: v.config.chaos_seed
+                 for v in chaos_matrix(base, rate=0.05, seed=3)}
+        for dropped in range(len(base)):
+            rest = base[:dropped] + base[dropped + 1:]
+            for variant in chaos_matrix(rest, rate=0.05, seed=3):
+                assert variant.config.chaos_seed == seeds[variant.name], (
+                    f"dropping {base[dropped].name} moved {variant.name}")
+
     @pytest.mark.fuzz
     def test_chaos_campaign_smoke(self):
         from repro.fuzz import chaos_matrix, default_matrix, run_campaign

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.isa.exceptions import GuestException, Vector
+from repro.isa.exceptions import GuestException, Vector, page_fault
 from repro.memory.bus import MemoryBus, MMIORegion
 from repro.memory.finegrain import (
     GRANULE_SIZE,
@@ -238,12 +239,100 @@ class TestMMUProbe:
         assert mmu.translations == 0
 
 
+# The TLB property: a small RAM holding a few random page tables.
+PT_PAGES = 4  # virtual pages the property translates
+PT_RAM = 8 * PAGE_SIZE
+PT_BASES = (4 * PAGE_SIZE, 5 * PAGE_SIZE + 0x200, 6 * PAGE_SIZE + 0xFF6)
+
+_ptes = st.one_of(
+    st.builds(lambda frame, bits: frame << 12 | bits,
+              st.integers(0, 15), st.integers(0, 3)),
+    st.integers(0, 0xFFFFFFFF),
+)
+_vaddrs = st.builds(
+    lambda vpn, offset: vpn * PAGE_SIZE + offset,
+    st.integers(0, PT_PAGES - 1),
+    st.one_of(st.sampled_from((0, PAGE_SIZE - 3, PAGE_SIZE - 1)),
+              st.integers(0, PAGE_SIZE - 1)),
+)
+_sizes = st.sampled_from((1, 2, 4))
+_store_sizes = st.sampled_from((1, 4))  # byte and word stores
+_mmu_ops = st.one_of(
+    st.tuples(st.just("translate"), _vaddrs, st.booleans(), st.booleans()),
+    st.tuples(st.just("translate_range"), _vaddrs, _sizes, st.booleans()),
+    st.tuples(st.just("probe"), _vaddrs),
+    # A store into the live table: PTE index, byte offset within it (a
+    # word store at offset > 0 straddles two PTEs), size, value.
+    st.tuples(st.just("pte_store"), st.integers(0, PT_PAGES),
+              st.integers(0, 3), _store_sizes, _ptes),
+    # A store anywhere in RAM: other tables, data, below the table.
+    st.tuples(st.just("ram_store"), st.integers(0, PT_RAM - 4),
+              _store_sizes, _ptes),
+    st.tuples(st.just("set_page_table"),
+              st.one_of(st.sampled_from(PT_BASES),
+                        st.integers(0, PT_RAM - 64))),
+    st.tuples(st.just("paging"), st.booleans()),
+)
+
+
+class WalkingMMU:
+    """The MMU with no TLB: every translation reads its PTE from RAM."""
+
+    def __init__(self, ram: PhysicalMemory) -> None:
+        self.ram = ram
+        self.paging_enabled = False
+        self.page_table_base = 0
+        self.translations = 0
+        self.faults = 0
+
+    def _pte(self, vaddr: int) -> int:
+        return int.from_bytes(self.ram.read_bytes(
+            self.page_table_base + (vaddr >> 12) * 4, 4), "little")
+
+    def translate(self, vaddr: int, is_write: bool,
+                  speculative: bool = False) -> int:
+        if not self.paging_enabled:
+            return vaddr
+        self.translations += 1
+        pte = self._pte(vaddr)
+        present = bool(pte & PTE_PRESENT)
+        if not present or (is_write and not pte & PTE_WRITABLE):
+            if not speculative:
+                self.faults += 1
+            raise page_fault(vaddr, is_write, present=present)
+        return (pte & ~0xFFF) | (vaddr & 0xFFF)
+
+    def translate_range(self, vaddr: int, size: int,
+                        is_write: bool) -> int:
+        first = self.translate(vaddr, is_write)
+        if vaddr >> 12 != (vaddr + size - 1) >> 12:
+            self.translate(vaddr + size - 1, is_write)
+        return first
+
+    def probe(self, vaddr: int) -> int | None:
+        if not self.paging_enabled:
+            return vaddr
+        pte = self._pte(vaddr)
+        if not pte & PTE_PRESENT:
+            return None
+        return (pte & ~0xFFF) | (vaddr & 0xFFF)
+
+
+def _mmu_result(call):
+    """A translation's result, or the #PF's present/write bits and
+    address."""
+    try:
+        return call()
+    except GuestException as exc:
+        assert exc.vector == Vector.PF
+        return ("#PF", exc.error_code & 0x3, exc.fault_addr)
+
+
 class TestMMUTLB:
-    def make_mapped(self, tlb=True):
+    def make_mapped(self):
         ram = PhysicalMemory(16 * PAGE_SIZE)
         bus = MemoryBus(ram)
         mmu = MMU(bus)
-        mmu.set_tlb_enabled(tlb)
         pt_base = 8 * PAGE_SIZE
         ram.write32(pt_base + 0 * 4, (2 * PAGE_SIZE) | PTE_PRESENT |
                     PTE_WRITABLE)
@@ -292,18 +381,67 @@ class TestMMUTLB:
         mmu.translate(0x10, False)
         assert mmu.walks == 2
 
-    def test_tlb_off_matches_tlb_on_architecturally(self):
-        _, bus_on, on, pt = self.make_mapped(tlb=True)
-        _, bus_off, off, _ = self.make_mapped(tlb=False)
-        for vaddr, is_write in ((0x10, False), (PAGE_SIZE + 4, True),
-                                (0x10, False)):
-            assert on.translate(vaddr, is_write) == \
-                off.translate(vaddr, is_write)
-        bus_on.write(pt, (6 * PAGE_SIZE) | PTE_PRESENT | PTE_WRITABLE, 4)
-        bus_off.write(pt, (6 * PAGE_SIZE) | PTE_PRESENT | PTE_WRITABLE, 4)
-        assert on.translate(0x10, False) == off.translate(0x10, False)
-        assert off.tlb_hits == 0
-        assert on.tlb_hits > 0
+    @given(st.lists(st.lists(_ptes, min_size=PT_PAGES + 1,
+                             max_size=PT_PAGES + 1),
+                    min_size=len(PT_BASES), max_size=len(PT_BASES)),
+           st.lists(_mmu_ops, min_size=10, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_tlb_matches_a_direct_walk(self, tables, ops):
+        """Whatever stores, table switches and paging toggles come
+        between them, every translate, translate_range and probe returns
+        what a walk reading the PTE straight from RAM returns, and the
+        architectural counters agree with that walk's."""
+        ram = PhysicalMemory(PT_RAM)
+        bus = MemoryBus(ram)
+        mmu = MMU(bus)
+        ref = WalkingMMU(ram)
+        for base, table in zip(PT_BASES, tables):
+            for vpn, pte in enumerate(table):
+                ram.write32(base + vpn * 4, pte)
+        mmu.set_page_table(PT_BASES[0])
+        mmu.enable_paging()
+        ref.page_table_base = PT_BASES[0]
+        ref.paging_enabled = True
+        for op in ops:
+            kind = op[0]
+            if kind == "translate":
+                _, vaddr, is_write, speculative = op
+                assert _mmu_result(lambda: mmu.translate(
+                    vaddr, is_write, speculative)) == _mmu_result(
+                    lambda: ref.translate(vaddr, is_write, speculative))
+            elif kind == "translate_range":
+                _, vaddr, size, is_write = op
+                assert _mmu_result(lambda: mmu.translate_range(
+                    vaddr, size, is_write)) == _mmu_result(
+                    lambda: ref.translate_range(vaddr, size, is_write))
+            elif kind == "probe":
+                assert mmu.probe(op[1]) == ref.probe(op[1])
+            elif kind == "pte_store":
+                _, vpn, offset, size, value = op
+                bus.write(ref.page_table_base + vpn * 4 + offset, value,
+                          size)
+            elif kind == "ram_store":
+                _, addr, size, value = op
+                bus.write(addr, value, size)
+            elif kind == "set_page_table":
+                mmu.set_page_table(op[1])
+                ref.page_table_base = op[1] & ~3
+            elif op[1]:
+                mmu.enable_paging()
+                ref.paging_enabled = True
+            else:
+                mmu.disable_paging()
+                ref.paging_enabled = False
+            # Every page, looked up through the TLB after each step,
+            # still maps as the walk says: a stale entry shows at once.
+            for vaddr in range(0, PT_PAGES * PAGE_SIZE, PAGE_SIZE):
+                assert mmu.probe(vaddr) == ref.probe(vaddr), (op, vaddr)
+                for is_write in (False, True):
+                    assert _mmu_result(lambda: mmu.translate(
+                        vaddr, is_write)) == _mmu_result(
+                        lambda: ref.translate(vaddr, is_write)), op
+            assert (mmu.translations, mmu.faults) == \
+                (ref.translations, ref.faults), op
 
     def test_translate_range_spanning_pages_tracks_remapping(self):
         _, bus, mmu, pt_base = self.make_mapped()
