@@ -155,6 +155,9 @@ class TranslationCache:
         self.on_flush = None
         self.on_evict = None
         self._by_entry: dict[int, Translation] = {}
+        # page -> resident translations with code on it.  The bus's
+        # store-observer filter probes this dict live (the SMC manager's
+        # observer), so it is mutated in place and never rebound.
         self._by_page: dict[int, set[Translation]] = {}
         self.total_molecules = 0
         self.translations_added = 0

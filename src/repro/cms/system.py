@@ -121,7 +121,10 @@ class CodeMorphingSystem:
             self.cpu.protection_service = self.smc.service_inline
         else:
             self.cpu.protection_service = self._timed_inline_service
-        self.machine.bus.store_observers.append(self.smc.on_ram_write)
+        # The SMC manager acts only on pages holding translated code,
+        # which are exactly the keys of the cache's page index.
+        self.machine.bus.add_store_observer(self.smc.on_ram_write,
+                                            self.tcache._by_page)
         self.tcache.on_flush = self._on_tcache_flush
         self.tcache.on_evict = self._on_tcache_evict
         self._halted = False
@@ -145,7 +148,8 @@ class CodeMorphingSystem:
             # Same coherence feed the SMC manager uses: every RAM store
             # through the bus — interpreter stores, committed translated
             # stores draining at commit, DMA and disk writes.
-            machine.bus.store_observers.append(self.icache.on_ram_write)
+            machine.bus.add_store_observer(self.icache.on_ram_write,
+                                           self.icache._page_index)
 
         # Chaos mode (fuzz harness): deterministically raise internal
         # errors inside the translator so the containment layer can be

@@ -30,14 +30,17 @@ class Disk:
     BYTES_PER_TICK = 128
 
     def __init__(self, bus: MemoryBus, pic: InterruptController,
-                 image: bytes = b"") -> None:
+                 image: bytes = b"", awake: set | None = None) -> None:
         self._bus = bus
         self._pic = pic
+        # The machine's set of devices to tick; the disk is in it
+        # exactly while busy.
+        self.awake = set() if awake is None else awake
         self._image = bytearray(image)
         self.sector = 0
         self.dest = 0
         self.count = 0
-        self.busy = False
+        self._busy = False
         self._cursor = 0
         self._remaining = 0
         self.reads_completed = 0
@@ -61,6 +64,18 @@ class Disk:
                        writer=self._set_count)
         ports.register(base_port + 3, reader=lambda: int(self.busy),
                        writer=self._control)
+
+    @property
+    def busy(self) -> bool:
+        return self._busy
+
+    @busy.setter
+    def busy(self, value: bool) -> None:
+        self._busy = value
+        if value:
+            self.awake.add(self)
+        else:
+            self.awake.discard(self)
 
     def tick(self, instructions: int) -> None:
         """Move up to BYTES_PER_TICK bytes of the current read.

@@ -30,13 +30,17 @@ class DMAController:
     IRQ = 2
     BYTES_PER_TICK = 64
 
-    def __init__(self, bus: MemoryBus, pic: InterruptController) -> None:
+    def __init__(self, bus: MemoryBus, pic: InterruptController,
+                 awake: set | None = None) -> None:
         self._bus = bus
         self._pic = pic
+        # The machine's set of devices to tick; the controller is in it
+        # exactly while busy.
+        self.awake = set() if awake is None else awake
         self.source = 0
         self.dest = 0
         self.length = 0
-        self.busy = False
+        self._busy = False
         self._remaining = 0
         self.transfers_completed = 0
         self.bytes_copied = 0
@@ -51,6 +55,18 @@ class DMAController:
                        writer=self._set_length)
         ports.register(base_port + 3, reader=lambda: int(self.busy),
                        writer=self._control)
+
+    @property
+    def busy(self) -> bool:
+        return self._busy
+
+    @busy.setter
+    def busy(self, value: bool) -> None:
+        self._busy = value
+        if value:
+            self.awake.add(self)
+        else:
+            self.awake.discard(self)
 
     def tick(self, instructions: int) -> None:
         """Move up to BYTES_PER_TICK per instruction-time tick."""

@@ -50,14 +50,18 @@ class NetworkInterface:
         bus: MemoryBus,
         pic: InterruptController,
         seed: int = 0x5EEDCAFE,
+        awake: set | None = None,
     ) -> None:
         self._bus = bus
         self._pic = pic
+        # The machine's set of devices to tick; the NIC is in it exactly
+        # while enabled and armed.
+        self.awake = set() if awake is None else awake
         self.seed = seed & MASK32
         self.rx_addr = 0
         self.period = 1024
-        self.enabled = False
-        self.armed = False
+        self._enabled = False
+        self._armed = False
         self._elapsed = 0
         self.packets_delivered = 0
         self.bytes_delivered = 0
@@ -73,6 +77,30 @@ class NetworkInterface:
                        writer=self._control)
         ports.register(base_port + 3,
                        reader=lambda: self.packets_delivered)
+
+    @property
+    def enabled(self) -> bool:
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._enabled = value
+        self._sync_awake()
+
+    @property
+    def armed(self) -> bool:
+        return self._armed
+
+    @armed.setter
+    def armed(self, value: bool) -> None:
+        self._armed = value
+        self._sync_awake()
+
+    def _sync_awake(self) -> None:
+        if self._enabled and self._armed:
+            self.awake.add(self)
+        else:
+            self.awake.discard(self)
 
     def tick(self, instructions: int) -> None:
         """Advance instruction-time; deliver one packet when armed + due."""

@@ -25,10 +25,14 @@ class Timer:
 
     IRQ = 0
 
-    def __init__(self, pic: InterruptController, period: int = 10_000) -> None:
+    def __init__(self, pic: InterruptController, period: int = 10_000,
+                 awake: set | None = None) -> None:
         self._pic = pic
         self.period = period
-        self.running = False
+        # The machine's set of devices to tick; the timer is in it
+        # exactly while running.
+        self.awake = set() if awake is None else awake
+        self._running = False
         self._count = 0
         self.fired = 0
         self.mmio_accesses = 0
@@ -39,6 +43,18 @@ class Timer:
                        writer=self._set_period)
         ports.register(control_port, reader=lambda: int(self.running),
                        writer=self._set_control)
+
+    @property
+    def running(self) -> bool:
+        return self._running
+
+    @running.setter
+    def running(self, value: bool) -> None:
+        self._running = value
+        if value:
+            self.awake.add(self)
+        else:
+            self.awake.discard(self)
 
     def tick(self, instructions: int) -> None:
         """Advance time by ``instructions`` retired guest instructions."""

@@ -30,7 +30,7 @@ from repro.host.atoms import AluOp, Atom, AtomKind
 from repro.host.faults import HostFault, HostFaultError, HostFaultKind
 from repro.host.registers import R_EIP, R_IF, HostRegisterFile
 from repro.host.store_buffer import GatedStoreBuffer, StoreBufferOverflow
-from repro.isa.exceptions import GuestException
+from repro.isa.exceptions import GuestException, general_protection
 from repro.machine import Machine
 from repro.memory.mmu import PT_SPAN
 
@@ -386,7 +386,17 @@ class HostCPU:
         except GuestException as exc:
             self._guest_fault(atom, exc)
             raise AssertionError  # unreachable
-        is_io = self.machine.bus.is_io(paddr, atom.size)
+        bus = self.machine.bus
+        is_io = False
+        if not bus.in_ram_run(paddr, atom.size):
+            if bus.write_faults(paddr, atom.size):
+                # Draining this store would raise #GP after the commit
+                # had published the registers, so fault here: the
+                # window rolls back and recovery delivers the #GP
+                # precisely, as for a load.  The drain relies on it: a
+                # buffered store is MMIO or lies in one RAM run.
+                self._guest_fault(atom, general_protection())
+            is_io = bus.is_io(paddr, atom.size)
         if is_io:
             if atom.reordered or not atom.io_ok:
                 raise HostFaultError(

@@ -159,7 +159,8 @@ class _Codegen:
         self.consts: dict[str, object] = {}
         self._atom_names: dict[int, str] = {}
         # The bus's MMIO-free RAM runs: an access wholly inside one can
-        # never be I/O, and the PhysicalMemory accessors cannot fault.
+        # never be I/O and lies inside RAM's bytes, so it needs no
+        # bounds check.
         self.ram_runs = cpu.machine.bus.ram_runs
         self.sb_capacity = cpu.store_buffer.capacity
 
@@ -225,8 +226,12 @@ class _Codegen:
         self.emit(depth + 1, f"ld({name})")
         self.emit(depth, "else:")
         self._alias_lines(atom, depth + 1, store=False)
-        reader = {1: "rd1", 2: "rd2b", 4: "rd4"}[atom.size]
-        self.emit(depth + 1, f"v = {reader}(x)")
+        # Inside a RAM run the bytes are read straight from RAM.
+        if atom.size == 1:
+            self.emit(depth + 1, "v = mem[x]")
+        else:
+            self.emit(depth + 1,
+                      f"v = ifb(mem[x:x + {atom.size}], 'little')")
         # Store-forwarding with the buffer's O(1) bounds reject inlined:
         # most loads miss the buffered range and skip the call entirely.
         self.emit(depth + 1, f"if x < sb._hi and x + {atom.size} > sb._lo:")
@@ -407,8 +412,7 @@ class _Codegen:
             sb=cpu.store_buffer,
             ent=cpu.store_buffer._entries, ovl=cpu.store_buffer._overlay,
             fwd=cpu.store_buffer.forward,
-            rd1=machine.ram.read8, rd2b=machine.ram.read16,
-            rd4=machine.ram.read32,
+            mem=machine.ram._data, ifb=int.from_bytes,
             pgs=cpu.protection._pages,
             BS=BufferedStore, HFE=HostFaultError, HF=HostFault,
             AVK=HostFaultKind.ALIAS_VIOLATION,

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 # emptiness special case and a store updates both with plain min/max.
 NO_LO = 1 << 62
 
+# Value mask by store size (1, 2 or 4 bytes).
+_SIZE_MASKS = (0, 0xFF, 0xFFFF, 0, 0xFFFFFFFF)
+
 
 @dataclass
 class BufferedStore:
@@ -89,11 +92,31 @@ class GatedStoreBuffer:
         return merged
 
     def drain(self, bus) -> int:
-        """Release all buffered stores to the memory system, in order."""
-        count = len(self._entries)
-        for entry in self._entries:
-            bus.write(entry.paddr, entry.value, entry.size)
-        self._entries.clear()
+        """Release all buffered stores to the memory system, in order.
+
+        An MMIO entry goes through ``bus.write``, device side effects
+        included.  Every other entry lies inside one RAM run — the host
+        CPU faults a store outside RAM before buffering it, and the
+        template JIT buffers inline only inside a run — so it is copied
+        straight into RAM and followed by ``bus.notify_store``: RAM and
+        every store observer end exactly as after ``bus.write``, with
+        no routing and no call per unwatched observer.
+        """
+        entries = self._entries
+        if not entries:
+            return 0  # the overlay and its bounds are empty too
+        count = len(entries)
+        ram = bus.ram._data
+        notify = bus.notify_store
+        for entry in entries:
+            paddr, size = entry.paddr, entry.size
+            if entry.is_io:
+                bus.write(paddr, entry.value, size)
+            else:
+                ram[paddr:paddr + size] = (
+                    entry.value & _SIZE_MASKS[size]).to_bytes(size, "little")
+                notify(paddr, size)
+        entries.clear()
         self._overlay.clear()
         self._lo, self._hi = NO_LO, 0
         self.total_drained += count

@@ -8,7 +8,8 @@ bytes it was decoded from are unchanged.  Coherence comes from the same
 write paths that keep the translation cache honest: every RAM store
 that goes through the memory bus (interpreter stores, committed
 translated stores draining from the store buffer, DMA and disk
-traffic) reaches ``on_ram_write`` via ``MemoryBus.store_observers``.
+traffic) reaches ``on_ram_write``, a bus store observer filtered by
+this cache's page index.
 
 Invalidation is page-granular: one write drops every cached
 instruction on the written page(s).  That is coarser than byte-precise
@@ -41,6 +42,8 @@ class DecodedInstructionCache:
         # pairs so a hit also skips the dispatch-table lookup).
         self.entries: dict[int, Any] = {}
         # page -> set of entry paddrs whose instruction bytes touch it.
+        # The bus's store-observer filter probes this dict live, so it
+        # is mutated in place and never rebound.
         self._page_index: dict[int, set[int]] = {}
         self.hits = 0
         self.misses = 0
@@ -67,8 +70,8 @@ class DecodedInstructionCache:
     def on_ram_write(self, addr: int, size: int) -> None:
         """Bus store observer: drop entries on the written page(s).
 
-        Hot path — called after every RAM store in the system; the
-        common no-code-on-page case must stay at one dict probe.
+        The bus calls it only for writes touching an indexed page;
+        ``invalidate_range`` calls it for any range.
         """
         index = self._page_index
         first = addr >> PAGE_SHIFT

@@ -66,10 +66,14 @@ class Machine:
         self.ports = PortBus()
         self.pic = InterruptController()
         self.console = Console()
-        self.timer = Timer(self.pic, period=self.config.timer_period)
-        self.dma = DMAController(self.bus, self.pic)
-        self.disk = Disk(self.bus, self.pic)
-        self.nic = NetworkInterface(self.bus, self.pic)
+        # The devices whose ``tick`` can change state: each device keeps
+        # itself in this set while started (see ``tick``).
+        self.awake: set = set()
+        self.timer = Timer(self.pic, period=self.config.timer_period,
+                           awake=self.awake)
+        self.dma = DMAController(self.bus, self.pic, awake=self.awake)
+        self.disk = Disk(self.bus, self.pic, awake=self.awake)
+        self.nic = NetworkInterface(self.bus, self.pic, awake=self.awake)
         self.framebuffer: Framebuffer | None = None
 
         self.pic.attach(self.ports)
@@ -101,7 +105,8 @@ class Machine:
                            "framebuffer")
             )
 
-        self._tickers = (self.timer, self.dma, self.disk, self.nic)
+        self._devices = (self.timer, self.dma, self.disk, self.nic)
+        self._added_tickers: tuple = ()
         self.instructions_retired = 0
 
     def add_ticker(self, device) -> None:
@@ -109,9 +114,10 @@ class Machine:
 
         Used by the fault-injection harness to advance schedule-driven
         injectors in device time, so that two machines running the same
-        guest observe identical asynchronous event timing.
+        guest observe identical asynchronous event timing.  Such a
+        device is ticked on every call, after the built-in ones.
         """
-        self._tickers = (*self._tickers, device)
+        self._added_tickers = (*self._added_tickers, device)
 
     # ------------------------------------------------------------------
     # Program loading
@@ -161,11 +167,27 @@ class Machine:
     # ------------------------------------------------------------------
 
     def tick(self, instructions: int) -> None:
-        """Advance device time by ``instructions`` retired instructions."""
+        """Advance device time by ``instructions`` retired instructions.
+
+        Ticks the built-in devices that are in ``awake``, in the fixed
+        order timer, DMA, disk, NIC, then every added ticker.  A device
+        out of the set is idle, and an idle device's ``tick`` returns
+        at once: the timer is in the set while running, the DMA
+        controller and the disk while busy, the NIC while enabled and
+        armed.  Membership is read as the loop reaches each device, so
+        a device that an earlier one starts or stops within this call
+        is ticked or skipped exactly as the call-every-device loop
+        would.
+        """
         if instructions <= 0:
             return
         self.instructions_retired += instructions
-        for device in self._tickers:
+        awake = self.awake
+        if awake:
+            for device in self._devices:
+                if device in awake:
+                    device.tick(instructions)
+        for device in self._added_tickers:
             device.tick(instructions)
 
     def pending_vector(self) -> int | None:

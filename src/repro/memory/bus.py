@@ -17,10 +17,12 @@ maximal MMIO-free runs of RAM, recomputed by ``add_region``.  For the
 default machine these are [0, 0xA0000) and [0xB0000, top of RAM), the
 framebuffer window being the hole.  Every RAM fast path reads them: the
 bus's own ``read``/``write``/``is_io`` (through ``in_ram_run``), the
-template JIT's inline load/store guards, and ``write_block``, through
-which the disk and the DMA controller write a tick's worth of bytes at
-once (§3.6.1's page-granular device traffic).  An access wholly inside
-one run can never be I/O and cannot fall off the end of RAM.
+template JIT's inline load/store guards, the host CPU's store check
+(every buffered non-I/O store lies in a run, so the store buffer
+drains it straight into RAM), and ``write_block``, through which the
+disk and the DMA controller write a tick's worth of bytes at once
+(§3.6.1's page-granular device traffic).  An access wholly inside one
+run can never be I/O and cannot fall off the end of RAM.
 
 Routing is the hottest query in the whole simulator (every data access
 and, without the decode cache, every code byte consults it), so the
@@ -34,10 +36,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Container, Protocol
 
 from repro.isa.exceptions import general_protection
-from repro.memory.physical import PAGE_SIZE, PhysicalMemory
+from repro.memory.physical import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
 MASK32 = 0xFFFFFFFF
 
@@ -65,14 +67,19 @@ class MMIORegion:
 class MemoryBus:
     """Routes physical accesses to RAM or MMIO regions.
 
-    ``store_observers`` are callbacks ``(addr, size)`` invoked *after*
-    every RAM write that goes through the bus; the CMS uses one to keep
-    the translation cache coherent with memory written by the
-    interpreter, committed translations, and devices, and the decode
-    cache and the MMU's TLB use others for the same invariant.  A CPU
-    store reaches them as one 1-, 2- or 4-byte range; a device block
-    write (``write_block``) as one range per page it touches, each
-    inside a single page.
+    Store observers (``add_store_observer``) are callbacks
+    ``(addr, size)`` run *after* RAM writes, in registration order: the
+    SMC manager keeps the translation cache coherent with memory written
+    by the interpreter, committed translations and devices, and the
+    decode cache and the MMU's TLB keep the same invariant.  Each is
+    registered with the live index of the pages it keeps state for and
+    runs only for a write whose first or last page is in it (``None``:
+    every write).  Skipping is exact because each observer is a no-op on
+    pages outside its index, and no write reaching them spans more than
+    two pages: a CPU store is one 1-, 2- or 4-byte range (``write``, or
+    ``notify_store`` when the gated store buffer drains straight into
+    RAM), and a device block write (``write_block``) one range per page
+    it touches.
 
     ``ram_runs`` are the maximal MMIO-free runs of RAM as
     ``(start, end)`` pairs in address order; any access wholly inside
@@ -87,7 +94,9 @@ class MemoryBus:
     def __init__(self, ram: PhysicalMemory) -> None:
         self.ram = ram
         self.regions: list[MMIORegion] = []
-        self.store_observers: list[Callable[[int, int], None]] = []
+        # (observer, watched pages or None), in registration order.
+        self._store_observers: list[
+            tuple[Callable[[int, int], None], Container[int] | None]] = []
         self.io_reads = 0
         self.io_writes = 0
         # Base-sorted routing arrays, rebuilt by add_region.
@@ -128,6 +137,27 @@ class MemoryBus:
         self._run_starts = [0] + [s for s, _ in runs]
         self._run_ends = [0] + [e for _, e in runs]
 
+    def add_store_observer(self, observer: Callable[[int, int], None],
+                           pages: Container[int] | None) -> None:
+        """Run ``observer(addr, size)`` after each RAM write that
+        touches a page in ``pages``, or after every RAM write if
+        ``pages`` is None.
+
+        ``pages`` is the observer's own page index, kept live: the bus
+        probes it on every write, so the owner must mutate it in place
+        and never rebind it.
+        """
+        self._store_observers.append((observer, pages))
+
+    def notify_store(self, addr: int, size: int) -> None:
+        """Run the store observers for a RAM write of ``size`` bytes at
+        ``addr`` (at most two pages) that has already landed."""
+        first = addr >> PAGE_SHIFT
+        last = (addr + size - 1) >> PAGE_SHIFT
+        for observer, pages in self._store_observers:
+            if pages is None or first in pages or last in pages:
+                observer(addr, size)
+
     def in_ram_run(self, addr: int, size: int) -> bool:
         """True if [addr, addr+size) lies inside one RAM run."""
         return addr + size <= self._run_ends[
@@ -154,6 +184,11 @@ class MemoryBus:
             return True
         i += 1
         return i < len(self._bases) and self._bases[i] < addr + size
+
+    def write_faults(self, addr: int, size: int) -> bool:
+        """True if ``write(addr, _, size)`` raises #GP: its first byte
+        is in no MMIO region and the access runs past the end of RAM."""
+        return addr + size > self.ram.size and self.region_at(addr) is None
 
     # ------------------------------------------------------------------
     # Access paths.  Reads/writes raise guest #GP for addresses that hit
@@ -211,15 +246,14 @@ class MemoryBus:
                 ram.write16(addr, value)
         except IndexError:
             raise general_protection() from None
-        for observer in self.store_observers:
-            observer(addr, size)
+        self.notify_store(addr, size)
 
     def write_block(self, addr: int, data: bytes) -> None:
         """A device's burst: ``data`` written at ``addr`` as if by
         consecutive single-byte writes.
 
-        A span inside one RAM run is one RAM copy, after which each
-        store observer runs once per page-bounded piece, in address
+        A span inside one RAM run is one RAM copy, after which the
+        store observers run once per page-bounded piece, in address
         order.  Observers whose state is kept per page (the decode
         cache, the SMC manager) end exactly as after the byte writes;
         the MMU bumps ``mapping_epoch`` once per rewritten PTE instead
@@ -234,14 +268,10 @@ class MemoryBus:
                 self.write(addr + offset, value, 1)
             return
         self.ram.write_bytes(addr, data)
-        observers = self.store_observers
-        if not observers:
-            return
         end = addr + len(data)
         while addr < end:
             stop = min(end, (addr // PAGE_SIZE + 1) * PAGE_SIZE)
-            for observer in observers:
-                observer(addr, stop - addr)
+            self.notify_store(addr, stop - addr)
             addr = stop
 
     def read_code_bytes(self, addr: int, length: int) -> bytes:

@@ -156,7 +156,8 @@ def test_size2_ram_access_roundtrip():
     assert bus.read(0x100, 1) == 0xEF  # little-endian
     assert bus.read(0x101, 1) == 0xBE
     seen = []
-    bus.store_observers.append(lambda addr, size: seen.append((addr, size)))
+    bus.add_store_observer(
+        lambda addr, size: seen.append((addr, size)), None)
     bus.write(0xFFFE, 0x1234, 2)  # unaligned, near a page boundary
     assert bus.read(0xFFFE, 2) == 0x1234
     assert seen == [(0xFFFE, 2)]

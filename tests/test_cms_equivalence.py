@@ -467,6 +467,74 @@ class TestExceptionEquivalence:
             iret
         """, config=FAST)
 
+    # A store the bus rejects with #GP must fault when it executes, not
+    # when its commit drains the store buffer: by then the commit has
+    # published the window's registers.
+
+    def test_store_past_end_of_ram_faults_before_commit(self):
+        # The inner loop is translated while it stays below the 4 MiB
+        # top of RAM; the last pass walks its store off the end.
+        both = assert_equivalent("""
+        .org 13*4
+        .word gp_handler
+        .org 0x1000
+        start:
+            mov esp, 0x8000
+            mov ecx, 0
+            mov esi, 0
+            mov edi, 0
+            mov edx, 0x400000
+        outer:
+            mov ebx, 0x3FFF00
+        inner:
+            store [ebx], ecx
+            add ebx, 4
+            add esi, ecx
+            inc ecx
+            cmp ebx, edx
+            jne inner
+            inc edi
+            cmp edi, 30
+            jl outer
+            mov edx, 0x400100
+            jmp outer
+        gp_handler:
+            cli
+            hlt
+        """)
+        assert both.ref_system.interpreter.exceptions_delivered == 1
+        assert both.cms_system.stats.faults["GUEST_FAULT"] >= 1
+        assert both.cms_system.stats.contained_errors == 0
+
+    def test_io_store_into_unmapped_gap_faults_before_commit(self):
+        # A console-MMIO store site, fenced and translated, later
+        # straddles the unmapped gap below the timer window: its first
+        # byte hits nothing, so the bus raises #GP.
+        both = assert_equivalent("""
+        .org 13*4
+        .word gp_handler
+        .org 0x1000
+        start:
+            mov esp, 0x8000
+            mov ecx, 0
+            mov esi, 0
+            mov ebx, 0xFFF00000
+        loop:
+            store [ebx], ecx
+            add esi, ecx
+            inc ecx
+            cmp ecx, 200
+            jne loop
+            mov ebx, 0xFFF0FFFE
+            jmp loop
+        gp_handler:
+            cli
+            hlt
+        """, max_instructions=50_000)
+        assert both.ref_system.interpreter.exceptions_delivered == 1
+        assert both.cms_system.stats.faults["GUEST_FAULT"] >= 1
+        assert both.cms_system.stats.contained_errors == 0
+
 
 class TestChainingAndCache:
     def test_call_heavy_code_with_indirect_exits(self):

@@ -172,7 +172,8 @@ class TestDMA:
         ram, bus = _bus()
         seen = []
         # Every written byte observed exactly once, in address order.
-        bus.store_observers.append(lambda a, s: seen.extend(range(a, a + s)))
+        bus.add_store_observer(
+            lambda a, s: seen.extend(range(a, a + s)), None)
         pic = InterruptController()
         dma = DMAController(bus, pic)
         dma.source, dma.dest, dma.length = 0, 0x2000, 4
@@ -298,7 +299,7 @@ class TestNetworkInterface:
     def test_writes_visible_to_store_observers(self):
         ram, bus = _bus()
         seen = []
-        bus.store_observers.append(lambda a, s: seen.append(a))
+        bus.add_store_observer(lambda a, s: seen.append(a), None)
         nic = NetworkInterface(bus, InterruptController())
         nic.rx_addr = 0x800
         nic.period = 1

@@ -90,7 +90,8 @@ class TestBus:
     def test_store_observers_fire_for_ram_only(self):
         bus, _ = self.make()
         seen = []
-        bus.store_observers.append(lambda addr, size: seen.append((addr, size)))
+        bus.add_store_observer(
+            lambda addr, size: seen.append((addr, size)), None)
         bus.write(0x200, 1, 4)
         bus.write(0x10000, 1, 4)  # MMIO: no observer
         assert seen == [(0x200, 4)]
