@@ -123,10 +123,11 @@ class CMSConfig:
     # how fast the *simulator* runs on the host, never what it computes:
     # molecule counts, CostModel charges, and console output are
     # bit-identical with every combination of these flags.  Each stays
-    # because its ablation in `benchmarks/bench_wallclock.py` is far
-    # above noise, and ``template_jit=False`` is also the fuzz oracle's
-    # simulated-VLIW variant.  Bisect bus routing and the software TLB
-    # are always on.
+    # because `benchmarks/bench_wallclock.py` gates its win far above
+    # noise (the decode cache on the interpreter-dominated row, the
+    # template JIT in its ablation), and ``template_jit=False`` is also
+    # the fuzz oracle's simulated-VLIW variant.  Bisect bus routing and
+    # the software TLB are always on.
     decode_cache: bool = True  # memoize decode() keyed by paddr
     template_jit: bool = True  # lower committed translations to Python
 

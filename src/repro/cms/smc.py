@@ -442,6 +442,18 @@ class SMCManager:
     # Interpreter store servicing
     # ------------------------------------------------------------------
 
+    def attach_interpreter(self, interpreter) -> None:
+        """Service the interpreter's stores through
+        ``on_interpreter_store``, filtered by the protected pages.
+
+        ``check_store`` returns OK, counting nothing, for a store whose
+        first and last pages are both unprotected, so the hook does
+        nothing for it and the interpreter skips the call (the
+        templates' inline ``pgs`` guard).
+        """
+        interpreter.store_hook = self.on_interpreter_store
+        interpreter.store_hook_pages = self.protection._pages
+
     def on_interpreter_store(self, paddr: int, size: int) -> None:
         """Protection servicing for a store the interpreter will perform.
 

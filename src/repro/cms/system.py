@@ -116,7 +116,7 @@ class CodeMorphingSystem:
                               self.controller, trace=self.bus,
                               degrade=self.degrade)
 
-        self.interpreter.store_hook = self.smc.on_interpreter_store
+        self.smc.attach_interpreter(self.interpreter)
         if self._phases is None:
             self.cpu.protection_service = self.smc.service_inline
         else:
@@ -637,7 +637,7 @@ class CodeMorphingSystem:
         else:
             with phases.phase("interpret"):
                 outcome = self.interpreter.step()
-        if outcome.instr is not None or outcome.took_exception:
+        if outcome.retired or outcome.took_exception:
             self.stats.interp_instructions += 1
             if phases is not None:
                 self.obs.note_interp()

@@ -20,11 +20,15 @@ Committed guest state *is* the shadow copy of registers 0..15; the
 ``HostBackedGuestState`` view lets the CMS-embedded interpreter operate
 directly on committed state (it writes working and shadow together,
 preserving the invariant that outside translation execution the two
-copies agree).
+copies agree).  Every interpreted instruction goes through this view,
+so each accessor is one or two list operations on the register file's
+lists: a write stores working and shadow itself, IF is one read, and
+the arithmetic flags are written in one pass over their registers.
 """
 
 from __future__ import annotations
 
+from repro.isa import flags as fl
 from repro.state import FLAG_SLOTS, GuestState
 
 MASK32 = 0xFFFFFFFF
@@ -40,6 +44,10 @@ R_OF = R_FLAG_BASE + 4
 R_IF = R_FLAG_BASE + 5
 TEMP_BASE = 16
 NUM_TEMPS = NUM_HOST_REGS - TEMP_BASE
+
+# (host register, EFLAGS bit) of each arithmetic flag.
+_ARITH_FLAG_REGS = ((R_CF, fl.CF), (R_PF, fl.PF), (R_ZF, fl.ZF),
+                    (R_SF, fl.SF), (R_OF, fl.OF))
 
 
 class HostRegisterFile:
@@ -82,36 +90,52 @@ class HostBackedGuestState(GuestState):
     Writes update working and shadow together so that each interpreted
     instruction is, by definition, committed — exactly the paper's
     property that the interpreter "guarantees correct machine state at
-    every instruction boundary".
+    every instruction boundary".  The view holds the register file's
+    two lists, which commit and rollback copy in place and never
+    rebind.
     """
 
     def __init__(self, regfile: HostRegisterFile) -> None:
-        self._rf = regfile
-
-    def _write(self, index: int, value: int) -> None:
-        value &= MASK32
-        self._rf.working[index] = value
-        self._rf.shadow[index] = value
+        self._working = regfile.working
+        self._shadow = regfile.shadow
 
     def get_reg(self, index: int) -> int:
-        return self._rf.shadow[index]
+        return self._shadow[index]
 
     def set_reg(self, index: int, value: int) -> None:
-        self._write(index, value)
+        value &= MASK32
+        self._working[index] = value
+        self._shadow[index] = value
 
     def get_flag(self, slot: int) -> int:
-        return self._rf.shadow[R_FLAG_BASE + slot]
+        return self._shadow[R_FLAG_BASE + slot]
 
     def set_flag(self, slot: int, value: int) -> None:
-        self._write(R_FLAG_BASE + slot, 1 if value else 0)
+        value = 1 if value else 0
+        self._working[R_FLAG_BASE + slot] = value
+        self._shadow[R_FLAG_BASE + slot] = value
 
     @property
     def eip(self) -> int:
-        return self._rf.shadow[R_EIP]
+        return self._shadow[R_EIP]
 
     @eip.setter
     def eip(self, value: int) -> None:
-        self._write(R_EIP, value)
+        value &= MASK32
+        self._working[R_EIP] = value
+        self._shadow[R_EIP] = value
+
+    @property
+    def interrupts_enabled(self) -> bool:
+        return self._shadow[R_IF] != 0
+
+    def set_arith_flags(self, flags: int, mask: int = fl.ARITH_FLAGS) -> None:
+        working, shadow = self._working, self._shadow
+        for reg, bit in _ARITH_FLAG_REGS:
+            if bit & mask:
+                value = 1 if flags & bit else 0
+                working[reg] = value
+                shadow[reg] = value
 
 
 assert len(FLAG_SLOTS) == 6, "flag slot layout must match register plan"

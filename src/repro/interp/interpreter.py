@@ -15,6 +15,23 @@ The interpreter works against any ``GuestState`` implementation: a
 ``SimpleGuestState`` for the reference configuration, or the
 host-shadow-register-backed state inside CMS, where each interpreted
 instruction updates committed state directly.
+
+Every instruction below the translation threshold runs here (Figure 1),
+so on a flat profile interpretation leads the simulator's time, and
+each step is kept to about the cost of its handler:
+
+* ``step`` allocates nothing on its common path; it returns one of
+  three shared ``StepOutcome`` values;
+* a decode-cache hit yields the instruction and its handler together;
+  the binary ALU ops and the shifts find their flag helper in tables
+  built at import;
+* a data access with paging off that lies inside one RAM run (the
+  template JIT's guard, ``MemoryBus.in_ram_run``) reads or writes RAM's
+  bytes directly (see ``_load``/``_store``); every other access goes
+  through ``vtranslate``, ``is_io`` and the bus.
+
+The seed's interpreter, which did every access the long way, lives on
+in ``tests/test_interp_reference.py`` as the step-by-step reference.
 """
 
 from __future__ import annotations
@@ -24,16 +41,18 @@ from dataclasses import dataclass
 from repro.isa import flags as fl
 from repro.isa import registers as regs
 from repro.isa.decoder import decode
-from repro.isa.exceptions import GuestException
+from repro.isa.exceptions import GuestException, divide_error
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.machine import Machine
 from repro.memory.mmu import PT_SPAN
+from repro.memory.physical import PAGE_SHIFT
 from repro.state import FLAG_SLOTS, GuestState
 
 MASK32 = 0xFFFFFFFF
 SIGN32 = 0x80000000
 
+CF_SLOT = FLAG_SLOTS.index("cf")
 IF_SLOT = FLAG_SLOTS.index("if_")
 IVT_BASE = 0x0000  # physical base of the interrupt vector table
 
@@ -42,15 +61,17 @@ class Halted(Exception):
     """The guest executed ``hlt`` with interrupts disabled: workload end."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepOutcome:
-    """What one interpreter step did (consumed by profiling and CMS)."""
+    """What one interpreter step did, as the dispatcher reads it."""
 
-    addr: int
-    instr: Instruction | None = None
-    took_interrupt: bool = False
-    took_exception: bool = False
-    touched_mmio: bool = False
+    retired: bool = False  # an instruction executed
+    took_exception: bool = False  # an exception was delivered
+
+
+RETIRED = StepOutcome(retired=True)
+EXCEPTION = StepOutcome(took_exception=True)
+IDLE = StepOutcome()  # an interrupt delivered, or a halted wait
 
 
 class Interpreter:
@@ -65,17 +86,24 @@ class Interpreter:
         # SMC manager uses it to service protection events for stores
         # performed by the (native, hence hardware-checked) interpreter.
         self.store_hook = None
+        # The hook's live page index, set with the hook.  A RAM store
+        # whose first and last pages are both outside it skips the
+        # hook, so the hook must do nothing for such a store; the owner
+        # mutates the index in place and never rebinds it.
+        self.store_hook_pages = None
         # Optional DecodedInstructionCache.  Consulted only while paging
         # is disabled (identity mapping, so EIP is the physical address
         # the cache is keyed by); kept coherent by the owner through the
         # memory bus's store observers.
         self.icache = None
-        self.steps = 0
         self.exceptions_delivered = 0
         self.interrupts_delivered = 0
         self._halted_waiting = False
         self._touched_mmio = False
         self._touched_pt = False
+        # RAM's bytes, for the RAM data path (written in place, never
+        # rebound).
+        self._ram = machine.ram._data
 
     # ------------------------------------------------------------------
     # Top-level stepping
@@ -90,46 +118,43 @@ class Interpreter:
         instructions whose device time already passed).
         """
         state = self.state
+        machine = self.machine
         if state.interrupts_enabled:
-            vector = self.machine.pending_vector()
+            vector = machine.pending_vector()
             if vector is not None:
                 try:
                     self._deliver_interrupt(vector)
                 except GuestException:
                     raise Halted() from None  # fault during delivery
                 self._halted_waiting = False
-                return StepOutcome(addr=state.eip, took_interrupt=True)
+                return IDLE
         if self._halted_waiting:
             if not state.interrupts_enabled:
                 raise Halted()
             # Waiting for an interrupt: let device time advance.
             if tick:
-                self.machine.tick(1)
-            return StepOutcome(addr=state.eip)
+                machine.tick(1)
+            return IDLE
 
         addr = state.eip
         self._touched_mmio = False
         self._touched_pt = False
         try:
             icache = self.icache
-            if icache is not None and not self.machine.mmu.paging_enabled:
+            if icache is not None and not machine.mmu.paging_enabled:
                 entry = icache.entries.get(addr)
                 if entry is None:
                     icache.misses += 1
-                    instr = decode(self.machine, addr)
-                    handler = _DISPATCH.get(instr.op)
-                    if handler is None:
-                        raise AssertionError(f"no handler for {instr.op!r}")
+                    instr = decode(machine, addr)
+                    handler = _DISPATCH[instr.op]
                     icache.insert(addr, instr.length, (instr, handler))
                 else:
                     icache.hits += 1
                     instr, handler = entry
-                handler(self, instr)
             else:
-                instr = decode(self.machine, addr)
-                self.execute(instr)
-        except Halted:
-            raise
+                instr = decode(machine, addr)
+                handler = _DISPATCH[instr.op]
+            handler(self, instr)
         except GuestException as exc:
             try:
                 self._deliver_exception(exc, addr)
@@ -139,18 +164,17 @@ class Interpreter:
                 # fault of a real PC, which shuts the machine down.
                 raise Halted() from None
             if tick:
-                self.machine.tick(1)
-            return StepOutcome(addr=addr, took_exception=True)
-        self.steps += 1
-        if self.profile is not None:
+                machine.tick(1)
+            return EXCEPTION
+        profile = self.profile
+        if profile is not None:
             if self._touched_mmio:
-                self.profile.on_mmio(addr)
+                profile.on_mmio(addr)
             if self._touched_pt:
-                self.profile.on_pt_store(addr)
+                profile.on_pt_store(addr)
         if tick:
-            self.machine.tick(1)
-        return StepOutcome(addr=addr, instr=instr,
-                           touched_mmio=self._touched_mmio)
+            machine.tick(1)
+        return RETIRED
 
     def run(self, max_steps: int = 1_000_000) -> int:
         """Run until ``hlt`` (with IF=0) or the step budget; returns steps."""
@@ -205,19 +229,63 @@ class Interpreter:
         self.exceptions_delivered += 1
 
     # ------------------------------------------------------------------
-    # Data access helpers (order matters for precision)
+    # Data access helpers (order matters for precision).  The
+    # interpreter makes 1- and 4-byte accesses only, at masked
+    # addresses.
     # ------------------------------------------------------------------
 
     def _load(self, vaddr: int, size: int) -> int:
-        paddr = self.machine.vtranslate(vaddr, size, is_write=False)
-        if self.machine.bus.is_io(paddr, size):
+        """Read ``size`` bytes at virtual ``vaddr``.
+
+        With paging off, an access inside one RAM run reads RAM's bytes
+        directly: it is identity-mapped, can be neither I/O nor past
+        the end of RAM, and so counts in no MMU or bus counter.  Any
+        other access translates through the MMU (#PF, TLB counters),
+        marks the step as touching MMIO when any byte is I/O, and reads
+        through the bus (MMIO routing, ``io_reads``, #GP).
+        """
+        machine = self.machine
+        if not machine.mmu.paging_enabled and \
+                machine.bus.in_ram_run(vaddr, size):
+            if size == 1:
+                return self._ram[vaddr]
+            return int.from_bytes(self._ram[vaddr:vaddr + 4], "little")
+        paddr = machine.vtranslate(vaddr, size, is_write=False)
+        if machine.bus.is_io(paddr, size):
             self._touched_mmio = True
-        return self.machine.bus.read(paddr, size)
+        return machine.bus.read(paddr, size)
 
     def _store(self, vaddr: int, value: int, size: int) -> None:
+        """Write ``size`` bytes of ``value`` at virtual ``vaddr``.
+
+        The store hook runs before every store that reaches RAM.  With
+        paging off, a store inside one RAM run skips the hook when its
+        first and last pages are both outside ``store_hook_pages``,
+        writes RAM's bytes directly, and runs the bus's store observers
+        (``notify_store``), which is all ``bus.write`` does for it.
+        Any other store translates through the MMU (#PF, TLB counters),
+        marks the step as touching MMIO (and skips the hook) when any
+        byte is I/O, marks a store into the live page table, and writes
+        through the bus (MMIO routing, ``io_writes``, #GP).
+        """
         machine = self.machine
+        bus = machine.bus
+        if not machine.mmu.paging_enabled and bus.in_ram_run(vaddr, size):
+            hook = self.store_hook
+            if hook is not None:
+                pages = self.store_hook_pages
+                if vaddr >> PAGE_SHIFT in pages or \
+                        (vaddr + size - 1) >> PAGE_SHIFT in pages:
+                    hook(vaddr, size)
+            if size == 1:
+                self._ram[vaddr] = value & 0xFF
+            else:
+                self._ram[vaddr:vaddr + 4] = (value & MASK32).to_bytes(
+                    4, "little")
+            bus.notify_store(vaddr, size)
+            return
         paddr = machine.vtranslate(vaddr, size, is_write=True)
-        if machine.bus.is_io(paddr, size):
+        if bus.is_io(paddr, size):
             self._touched_mmio = True
         else:
             mmu = machine.mmu
@@ -226,18 +294,11 @@ class Interpreter:
                 self._touched_pt = True
             if self.store_hook is not None:
                 self.store_hook(paddr, size)
-        machine.bus.write(paddr, value, size)
+        bus.write(paddr, value, size)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def execute(self, instr: Instruction) -> None:
-        """Execute one decoded instruction, updating state precisely."""
-        handler = _DISPATCH.get(instr.op)
-        if handler is None:
-            raise AssertionError(f"no handler for {instr.op!r}")
-        handler(self, instr)
 
     # -- address computation ------------------------------------------------
 
@@ -322,37 +383,8 @@ class Interpreter:
 
     def _binary(self, instr: Instruction, rhs: int) -> None:
         state = self.state
-        op = instr.op
-        lhs = state.get_reg(instr.r1)
-        write = True
-        if op in (Op.ADD_RR, Op.ADD_RI):
-            result, flags = fl.flags_add(lhs, rhs)
-        elif op in (Op.ADC_RR, Op.ADC_RI):
-            result, flags = fl.flags_add(lhs, rhs, state.get_flag(0))
-        elif op in (Op.SUB_RR, Op.SUB_RI):
-            result, flags = fl.flags_sub(lhs, rhs)
-        elif op in (Op.SBB_RR, Op.SBB_RI):
-            result, flags = fl.flags_sub(lhs, rhs, state.get_flag(0))
-        elif op in (Op.CMP_RR, Op.CMP_RI):
-            result, flags = fl.flags_sub(lhs, rhs)
-            write = False
-        elif op in (Op.AND_RR, Op.AND_RI):
-            result, flags = fl.flags_logic(lhs & rhs)
-        elif op in (Op.TEST_RR, Op.TEST_RI):
-            result, flags = fl.flags_logic(lhs & rhs)
-            write = False
-        elif op in (Op.OR_RR, Op.OR_RI):
-            result, flags = fl.flags_logic(lhs | rhs)
-        elif op in (Op.XOR_RR, Op.XOR_RI):
-            result, flags = fl.flags_logic(lhs ^ rhs)
-        elif op in (Op.IMUL_RR, Op.IMUL_RI):
-            lhs_signed = lhs - (1 << 32) if lhs & SIGN32 else lhs
-            rhs_signed = rhs - (1 << 32) if rhs & SIGN32 else rhs
-            full = lhs_signed * rhs_signed
-            result = full & MASK32
-            flags = fl.flags_imul(result, full)
-        else:
-            raise AssertionError(f"not a binary op: {op!r}")
+        compute, write = _BINARY[instr.op]
+        result, flags = compute(state, state.get_reg(instr.r1), rhs)
         if write:
             state.set_reg(instr.r1, result)
         state.set_arith_flags(flags)
@@ -402,8 +434,6 @@ class Interpreter:
         state.eip = instr.next_addr
 
     def _op_div(self, instr: Instruction) -> None:
-        from repro.isa.exceptions import divide_error
-
         state = self.state
         divisor = state.get_reg(instr.r1)
         dividend = (state.get_reg(regs.EDX) << 32) | state.get_reg(regs.EAX)
@@ -417,8 +447,6 @@ class Interpreter:
         state.eip = instr.next_addr
 
     def _op_idiv(self, instr: Instruction) -> None:
-        from repro.isa.exceptions import divide_error
-
         state = self.state
         divisor = state.get_reg(instr.r1)
         divisor = divisor - (1 << 32) if divisor & SIGN32 else divisor
@@ -436,24 +464,10 @@ class Interpreter:
 
     # -- shifts ----------------------------------------------------------
 
-    _SHIFT_FUNCS = {
-        Op.SHL_RI8: fl.flags_shl,
-        Op.SHR_RI8: fl.flags_shr,
-        Op.SAR_RI8: fl.flags_sar,
-        Op.ROL_RI8: fl.flags_rol,
-        Op.ROR_RI8: fl.flags_ror,
-        Op.SHL_RCL: fl.flags_shl,
-        Op.SHR_RCL: fl.flags_shr,
-        Op.SAR_RCL: fl.flags_sar,
-    }
-
     def _op_shift(self, instr: Instruction) -> None:
         state = self.state
-        if instr.op in (Op.SHL_RCL, Op.SHR_RCL, Op.SAR_RCL):
-            count = state.get_reg(regs.ECX) & 0xFF
-        else:
-            count = instr.imm
-        func = self._SHIFT_FUNCS[instr.op]
+        func, by_cl = _SHIFTS[instr.op]
+        count = state.get_reg(regs.ECX) & 0xFF if by_cl else instr.imm
         result, flags, mask = func(state.get_reg(instr.r1), count)
         state.set_reg(instr.r1, result)
         if mask:
@@ -502,28 +516,11 @@ class Interpreter:
     def _op_ret(self, instr: Instruction) -> None:
         self.state.eip = self._pop()
 
-    def condition(self, op: Op) -> bool:
-        """Evaluate a Jcc condition against the current flags."""
-        return self.condition_code(op - Op.JO)
-
     def condition_code(self, index: int) -> bool:
         """Evaluate x86 condition code ``index`` (0..15)."""
-        state = self.state
-        cf, pf_, zf, sf, of = (state.get_flag(i) for i in range(5))
-        base = index >> 1
-        value = (
-            of,  # jo/jno
-            cf,  # jb/jae
-            zf,  # je/jne
-            cf | zf,  # jbe/ja
-            sf,  # js/jns
-            pf_,  # jp/jnp
-            sf ^ of,  # jl/jge
-            (sf ^ of) | zf,  # jle/jg
-        )[base]
-        taken = bool(value)
+        taken = bool(_CONDITIONS[index >> 1](self.state.get_flag))
         if index & 1:
-            taken = not taken
+            return not taken
         return taken
 
     def _op_setcc(self, instr: Instruction) -> None:
@@ -537,7 +534,7 @@ class Interpreter:
         self.state.eip = instr.next_addr
 
     def _op_jcc(self, instr: Instruction) -> None:
-        taken = self.condition(instr.op)
+        taken = self.condition_code(instr.op - Op.JO)
         if self.profile is not None:
             self.profile.on_branch(instr.addr, taken)
         self.state.eip = instr.branch_target if taken else instr.next_addr
@@ -592,6 +589,90 @@ class Interpreter:
         self.state.eip = instr.next_addr
 
 
+# -- ALU and shift tables ------------------------------------------------
+#
+# Each binary op's flag computation, as ``compute(state, lhs, rhs) ->
+# (result, arith flags)``; ADC and SBB read CF.
+
+
+def _alu_add(state: GuestState, lhs: int, rhs: int) -> tuple[int, int]:
+    return fl.flags_add(lhs, rhs)
+
+
+def _alu_adc(state: GuestState, lhs: int, rhs: int) -> tuple[int, int]:
+    return fl.flags_add(lhs, rhs, state.get_flag(CF_SLOT))
+
+
+def _alu_sub(state: GuestState, lhs: int, rhs: int) -> tuple[int, int]:
+    return fl.flags_sub(lhs, rhs)
+
+
+def _alu_sbb(state: GuestState, lhs: int, rhs: int) -> tuple[int, int]:
+    return fl.flags_sub(lhs, rhs, state.get_flag(CF_SLOT))
+
+
+def _alu_and(state: GuestState, lhs: int, rhs: int) -> tuple[int, int]:
+    return fl.flags_logic(lhs & rhs)
+
+
+def _alu_or(state: GuestState, lhs: int, rhs: int) -> tuple[int, int]:
+    return fl.flags_logic(lhs | rhs)
+
+
+def _alu_xor(state: GuestState, lhs: int, rhs: int) -> tuple[int, int]:
+    return fl.flags_logic(lhs ^ rhs)
+
+
+def _alu_imul(state: GuestState, lhs: int, rhs: int) -> tuple[int, int]:
+    lhs_signed = lhs - (1 << 32) if lhs & SIGN32 else lhs
+    rhs_signed = rhs - (1 << 32) if rhs & SIGN32 else rhs
+    full = lhs_signed * rhs_signed
+    result = full & MASK32
+    return result, fl.flags_imul(result, full)
+
+
+# op -> (compute, whether the result is written back); CMP and TEST
+# only set flags.
+_BINARY: dict[Op, tuple] = {}
+for _rr, _ri, _compute, _write in (
+        (Op.ADD_RR, Op.ADD_RI, _alu_add, True),
+        (Op.ADC_RR, Op.ADC_RI, _alu_adc, True),
+        (Op.SUB_RR, Op.SUB_RI, _alu_sub, True),
+        (Op.SBB_RR, Op.SBB_RI, _alu_sbb, True),
+        (Op.CMP_RR, Op.CMP_RI, _alu_sub, False),
+        (Op.AND_RR, Op.AND_RI, _alu_and, True),
+        (Op.TEST_RR, Op.TEST_RI, _alu_and, False),
+        (Op.OR_RR, Op.OR_RI, _alu_or, True),
+        (Op.XOR_RR, Op.XOR_RI, _alu_xor, True),
+        (Op.IMUL_RR, Op.IMUL_RI, _alu_imul, True)):
+    _BINARY[_rr] = _BINARY[_ri] = (_compute, _write)
+
+# op -> (flag helper, whether the count is CL rather than the imm8).
+_SHIFTS = {
+    Op.SHL_RI8: (fl.flags_shl, False),
+    Op.SHR_RI8: (fl.flags_shr, False),
+    Op.SAR_RI8: (fl.flags_sar, False),
+    Op.ROL_RI8: (fl.flags_rol, False),
+    Op.ROR_RI8: (fl.flags_ror, False),
+    Op.SHL_RCL: (fl.flags_shl, True),
+    Op.SHR_RCL: (fl.flags_shr, True),
+    Op.SAR_RCL: (fl.flags_sar, True),
+}
+
+# Condition code pairs (index >> 1), each reading only its flags
+# through ``get_flag`` (slots CF=0, PF=1, ZF=2, SF=3, OF=4).
+_CONDITIONS = (
+    lambda flag: flag(4),  # jo/jno
+    lambda flag: flag(0),  # jb/jae
+    lambda flag: flag(2),  # je/jne
+    lambda flag: flag(0) | flag(2),  # jbe/ja
+    lambda flag: flag(3),  # js/jns
+    lambda flag: flag(1),  # jp/jnp
+    lambda flag: flag(3) ^ flag(4),  # jl/jge
+    lambda flag: (flag(3) ^ flag(4)) | flag(2),  # jle/jg
+)
+
+
 def _build_dispatch() -> dict[Op, object]:
     i = Interpreter
     table: dict[Op, object] = {
@@ -644,8 +725,7 @@ def _build_dispatch() -> dict[Op, object]:
     for op in (Op.ADD_RI, Op.SUB_RI, Op.AND_RI, Op.OR_RI, Op.XOR_RI,
                Op.CMP_RI, Op.TEST_RI, Op.ADC_RI, Op.SBB_RI, Op.IMUL_RI):
         table[op] = i._op_binary_ri
-    for op in (Op.SHL_RI8, Op.SHR_RI8, Op.SAR_RI8, Op.ROL_RI8, Op.ROR_RI8,
-               Op.SHL_RCL, Op.SHR_RCL, Op.SAR_RCL):
+    for op in _SHIFTS:
         table[op] = i._op_shift
     for op_value in range(Op.JO, Op.JG + 1):
         table[Op(op_value)] = i._op_jcc
@@ -657,3 +737,4 @@ def _build_dispatch() -> dict[Op, object]:
 
 
 _DISPATCH = _build_dispatch()
+assert len(_DISPATCH) == len(Op), "every op needs a handler"

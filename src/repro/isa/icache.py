@@ -1,10 +1,11 @@
 """Decoded-instruction cache with SMC-coherent invalidation.
 
-The interpreter re-decodes every guest instruction from raw bytes on
-every step.  Decoding is pure over the code bytes, so its results can
-be memoized — which makes this cache a miniature code cache with the
-paper's signature hazard (§3.6): it may only serve an entry while the
-bytes it was decoded from are unchanged.  Coherence comes from the same
+Without this cache the interpreter decodes every guest instruction
+from raw bytes on every step, one MMU-translated fetch per code byte.
+Decoding is pure over the code bytes, so its results can be memoized —
+which makes this cache a miniature code cache with the paper's
+signature hazard (§3.6): it may only serve an entry while the bytes it
+was decoded from are unchanged.  Coherence comes from the same
 write paths that keep the translation cache honest: every RAM store
 that goes through the memory bus (interpreter stores, committed
 translated stores draining from the store buffer, DMA and disk

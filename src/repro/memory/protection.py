@@ -61,6 +61,9 @@ class ProtectionMap:
         self._fine_grain_enabled = fine_grain_enabled and fine_grain is not None
         self.fine_grain = fine_grain if self._fine_grain_enabled else None
         # page -> bitmask of granules containing translated code bytes.
+        # The template JIT's store guards and the interpreter's store
+        # hook filter probe this dict live, so it is mutated in place
+        # and never rebound.
         self._pages: dict[int, int] = {}
         self.protection_faults = 0
         self.fg_miss_faults = 0

@@ -11,7 +11,10 @@ with working/shadow pairs providing commit and rollback.  Concretely:
 * ``repro.host.registers.HostBackedGuestState`` exposes the *shadow*
   (committed) host registers through the same interface, so the
   interpreter embedded in CMS operates directly on committed state,
-  exactly like the native-code CMS interpreter does.
+  exactly like the native-code CMS interpreter does.  It overrides the
+  per-step accessors (IF, the arithmetic flags) with direct register
+  file operations; ``SimpleGuestState`` keeps the generic versions
+  below, written over ``get_flag``/``set_flag``.
 
 Flags are kept *unpacked* — one storage slot per flag — because that is
 how translated code wants them (each flag is an independent 0/1 host
