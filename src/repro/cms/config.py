@@ -97,8 +97,9 @@ class CMSConfig:
 
     # Observability (PR 4).  ``obs_enabled`` gates the whole layer —
     # phase timing, per-region hot-spot attribution, the metrics
-    # registry, and JSONL telemetry; off (the default) the dispatcher
-    # pays one attribute test per phase and runs are guaranteed
+    # registry, and JSONL telemetry (timing wraps the timed methods,
+    # ``Observability.install``); off (the default) the dispatcher
+    # pays one attribute test per hot-spot note and runs are guaranteed
     # molecule-identical to an obs-less build.  ``obs_jsonl_path``
     # additionally streams events and the run summary to a rotated
     # JSONL file.  Every histogram the runtime creates uses the
@@ -126,8 +127,8 @@ class CMSConfig:
     # because `benchmarks/bench_wallclock.py` gates its win far above
     # noise (the decode cache on the interpreter-dominated row, the
     # template JIT in its ablation), and ``template_jit=False`` is also
-    # the fuzz oracle's simulated-VLIW variant.  Bisect bus routing and
-    # the software TLB are always on.
+    # the fuzz oracle's simulated-VLIW variant ("never compile").
+    # Bisect bus routing and the software TLB are always on.
     decode_cache: bool = True  # memoize decode() keyed by paddr
     template_jit: bool = True  # lower committed translations to Python
 

@@ -94,16 +94,15 @@ class CodeMorphingSystem:
         # Observability (PR 4): every runtime event is published on the
         # bus; the ring-buffer trace is one sink, and with obs enabled
         # the metrics registry and JSONL telemetry subscribe alongside
-        # it.  ``self.obs is None`` is the disabled fast path — the
-        # dispatcher tests it once per phase.
+        # it.  Phase timing is installed from outside once the system is
+        # built (``Observability.install``); ``self.obs is None`` only
+        # gates the hot-spot notes.
         self.bus = ObservationBus()
         self.bus.add_sink(self.trace)
         self.obs = Observability(config) if config.obs_enabled else None
-        self._phases = None
         if self.obs is not None:
             for sink in self.obs.event_sinks():
                 self.bus.add_sink(sink)
-            self._phases = self.obs.phases
         self.controller = AdaptiveController(config)
         self.degrade = DegradationManager(
             config, self.stats, trace=self.bus,
@@ -117,10 +116,7 @@ class CodeMorphingSystem:
                               degrade=self.degrade)
 
         self.smc.attach_interpreter(self.interpreter)
-        if self._phases is None:
-            self.cpu.protection_service = self.smc.service_inline
-        else:
-            self.cpu.protection_service = self._timed_inline_service
+        self.cpu.protection_service = self.smc.service_inline
         # The SMC manager acts only on pages holding translated code,
         # which are exactly the keys of the cache's page index.
         self.machine.bus.add_store_observer(self.smc.on_ram_write,
@@ -134,13 +130,12 @@ class CodeMorphingSystem:
         # chains into its translations are severed so the dispatcher
         # re-verifies the identity mapping before re-entering them.
         machine.mmu.mapping_observers.append(self._on_mapping_changed)
-        # Template JIT (PR 6): committed translations lowered to
-        # generated Python (host/jit.py).  Semantics-invisible like the
-        # decode cache; degraded ladder tiers and quarantined
-        # regions keep the simulated-VLIW path.
-        self.jit = (TemplateJIT(self.cpu, stats=self.stats,
-                                phases=self._phases)
-                    if config.template_jit else None)
+        # The dispatch driver (host/jit.py): runs every translation and
+        # follows its chains, on generated-Python templates once hot
+        # (PR 6).  Semantics-invisible like the decode cache; with
+        # ``template_jit`` off, and in degraded ladder tiers, it never
+        # compiles and every translation runs on the simulated VLIW.
+        self.jit = TemplateJIT(self.cpu, stats=self.stats)
         self.icache = DecodedInstructionCache() if config.decode_cache \
             else None
         if self.icache is not None:
@@ -169,6 +164,8 @@ class CodeMorphingSystem:
 
             self.translator.translate = chaotic_translate
         self._dispatches_since_audit = 0
+        if self.obs is not None:
+            self.obs.install(self)
 
         # Persistent snapshot (PR 5): warm-start from a prior run.  The
         # guest image is already in RAM at construction time, so every
@@ -358,11 +355,6 @@ class CodeMorphingSystem:
                             f"{removed} keys")
         return removed
 
-    def _timed_inline_service(self, fault: HostFault) -> bool:
-        """`service_inline` under the smc-service phase (obs on)."""
-        with self._phases.phase("smc-service"):
-            return self.smc.service_inline(fault)
-
     def health_report(self, run_audit: bool = True) -> HealthReport:
         """Audit the runtime (by default) and snapshot its health."""
         if run_audit:
@@ -450,12 +442,7 @@ class CodeMorphingSystem:
             return
         self._dispatches_since_audit = 0
         try:
-            phases = self._phases
-            if phases is None:
-                self.auditor.audit()
-            else:
-                with phases.phase("audit"):
-                    self.auditor.audit()
+            self.auditor.audit()
         except Exception as error:  # noqa: BLE001 — audit must not kill us
             if not self.config.failure_containment:
                 raise
@@ -479,12 +466,7 @@ class CodeMorphingSystem:
             return
         translation = self.tcache.lookup(eip)
         if translation is None or not translation.valid:
-            phases = self._phases
-            if phases is None:
-                translation = self._maybe_translate(eip)
-            else:
-                with phases.phase("translate"):
-                    translation = self._maybe_translate(eip)
+            translation = self._maybe_translate(eip)
             if translation is None:
                 self._interp_step()
                 return
@@ -500,24 +482,17 @@ class CodeMorphingSystem:
 
         self.stats.dispatches += 1
         self._maybe_audit()
-        jit = self.jit
-        if jit is not None and \
-                self.degrade.tier_of(eip) is not Tier.AGGRESSIVE:
-            jit = None  # degraded regions stay on the simulated VLIW
-        engine = self.cpu.run if jit is None else jit.run
+        config = self.config
+        # Degraded regions stay on the simulated VLIW.
+        templates = config.template_jit and \
+            self.degrade.tier_of(eip) is Tier.AGGRESSIVE
         obs = self.obs
-        if obs is None:
-            exit_info = engine(
-                translation, fuel=self.config.dispatch_fuel_molecules
-            )
-        else:
+        if obs is not None:
             retired_before = machine.instructions_retired
             molecules_before = self.cpu.molecules_executed
-            phase = "execute" if jit is None else "jit-execute"
-            with obs.phases.phase(phase):
-                exit_info = engine(
-                    translation, fuel=self.config.dispatch_fuel_molecules
-                )
+        exit_info = self.jit.run(translation,
+                                 fuel=config.dispatch_fuel_molecules,
+                                 templates=templates)
         self.stats.chains_followed += exit_info.chains_followed
         # Chained entries were counted as they were followed; count the
         # dispatcher's own entry here.
@@ -559,11 +534,7 @@ class CodeMorphingSystem:
         self._rollback(current)
         self.bus.record(Event.ROLLBACK, self.state.eip,
                         exit_info.fault.kind.name)
-        if self._phases is None:
-            self._handle_fault(exit_info.fault, current)
-        else:
-            with self._phases.phase("fault-service"):
-                self._handle_fault(exit_info.fault, current)
+        self._handle_fault(exit_info.fault, current)
 
     def _identity_mapped(self, eip: int) -> bool:
         """Translations are only reused for identity-mapped code.
@@ -619,27 +590,17 @@ class CodeMorphingSystem:
                 self.tcache.unchain_incoming(translation)
 
     def _rollback(self, translation: Translation | None = None) -> None:
-        """Roll host state back, under the rollback phase when obs on."""
-        phases = self._phases
-        if phases is None:
-            self.cpu.rollback()
-        else:
-            with phases.phase("rollback"):
-                self.cpu.rollback()
-            if translation is not None:
-                self.obs.note_rollback(translation.entry_eip)
+        """Roll host state back to the last commit."""
+        self.cpu.rollback()
+        if translation is not None and self.obs is not None:
+            self.obs.note_rollback(translation.entry_eip)
         self.stats.rollbacks += 1
 
     def _interp_step(self) -> None:
-        phases = self._phases
-        if phases is None:
-            outcome = self.interpreter.step()
-        else:
-            with phases.phase("interpret"):
-                outcome = self.interpreter.step()
+        outcome = self.interpreter.step()
         if outcome.retired or outcome.took_exception:
             self.stats.interp_instructions += 1
-            if phases is not None:
+            if self.obs is not None:
                 self.obs.note_interp()
 
     def _try_chain(self, source: Translation, atom) -> None:
@@ -760,15 +721,9 @@ class CodeMorphingSystem:
         self.tcache.invalidate_translation(translation)
         stale_pages = translation.pages()
         replacement = None
-        phases = self._phases
         try:
-            if phases is None:
-                replacement = self.translator.translate(
-                    entry, self.degrade.clamp(entry, policy))
-            else:
-                with phases.phase("translate"):
-                    replacement = self.translator.translate(
-                        entry, self.degrade.clamp(entry, policy))
+            replacement = self.translator.translate(
+                entry, self.degrade.clamp(entry, policy))
         except TranslationError:
             pass
         except Exception as error:  # noqa: BLE001 — containment point
@@ -823,12 +778,7 @@ class CodeMorphingSystem:
             # Inline service already declined: genuine SMC, page-level
             # protection, or a spurious fault needing adaptation.  The
             # faulting store then re-executes through the interpreter.
-            phases = self._phases
-            if phases is None:
-                self.smc.on_protection_fault(fault)
-            else:
-                with phases.phase("smc-service"):
-                    self.smc.on_protection_fault(fault)
+            self.smc.on_protection_fault(fault)
             self._interp_step()
             return
         if kind is HostFaultKind.SELF_CHECK:

@@ -12,6 +12,8 @@ chosen to hit the paper's hard cases:
 * plain ALU/shift/flag traffic (dead-flag elimination, scheduling);
 * aliasing store/load clusters, including byte stores into the middle
   of just-stored words (store-buffer forwarding, alias hardware §3.5);
+* loads and stores across a page edge and the end of a RAM run
+  (straddle routing, the store hook's page filter, RAM-run guards);
 * flag-consuming forward branches (side exits, condition recipes);
 * MMIO touches on the console window and port I/O (§3.4 speculation
   barriers);
@@ -166,6 +168,30 @@ def _block_alias_cluster(rng, index):
     return "\n".join(lines)
 
 
+def _block_edge_access(rng, index):
+    """A load or store inside RAM across an edge: 1 or 4 bytes at
+    ``[ebp-1]`` to ``[ebp-3]``, into the arena's page, or 4 bytes at
+    0x9FFFD to 0x9FFFF, from the first RAM run into the framebuffer
+    window.  ``ecx`` holds the absolute address and is saved around it.
+    """
+    store = rng.random() < 0.5
+    if rng.random() < 0.5:
+        size = rng.choice((1, 4))
+        addr, lines = f"ebp-{rng.randint(1, 3)}", []
+    else:
+        size, addr = 4, "ecx"
+        run_edge = 0x9FFFD + rng.randint(0, 2)
+        lines = ["    push ecx", f"    mov ecx, {run_edge:#x}"]
+    suffix = "b" if size == 1 else ""
+    if store:
+        lines.append(f"    store{suffix} [{addr}], {_reg(rng)}")
+    else:
+        lines.append(f"    load{suffix} {_reg(rng)}, [{addr}]")
+    if addr == "ecx":
+        lines.append("    pop ecx")
+    return "\n".join(lines)
+
+
 def _block_branch_skip(rng, index):
     cond = rng.choice(CONDS)
     inner = rng.choice(ALU_RR)
@@ -259,6 +285,7 @@ _BLOCKS = (
     (_block_port_io, 2),
     (_block_push_pop, 3),
     (_block_smc_patch, 4),
+    (_block_edge_access, 4),
 )
 _BLOCK_FUNCS = tuple(f for f, _ in _BLOCKS)
 _BLOCK_WEIGHTS = tuple(w for _, w in _BLOCKS)

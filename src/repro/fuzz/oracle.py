@@ -184,7 +184,7 @@ def execute(program: FuzzProgram, config: CMSConfig,
     machine = Machine()
     entry = machine.load_source(program.source)
     system = CodeMorphingSystem(machine, config)
-    if system.jit is not None and not lazy_jit:
+    if config.template_jit and not lazy_jit:
         system.jit.compile_passes = 0
     if cms_factory is not None:
         cms_factory(system)

@@ -48,7 +48,8 @@ class ExitKind(enum.Enum):
 
 @dataclass
 class ExitInfo:
-    """Result of one ``HostCPU.run`` invocation."""
+    """Result of one ``HostCPU.run`` (one translation) or one
+    ``TemplateJIT.run`` (a dispatch, with the chains it followed)."""
 
     kind: ExitKind
     next_eip: int = 0
@@ -88,7 +89,7 @@ class HostCPU:
         # exits are suppressed in that window so a rollback can never
         # replay the device operation.
         self._io_uncommitted = False
-        # The translation currently being executed (chains update it).
+        # The translation currently being executed.
         # The SMC manager consults this from the inline fault service:
         # arming a *running* translation's revalidation prologue would
         # drop its protection mid-execution, letting a later store in
@@ -150,36 +151,31 @@ class HostCPU:
     def run(self, translation, fuel: int = 1_000_000,
             start_pc: int | None = None,
             hot_at: int | None = None) -> ExitInfo:
-        """Execute ``translation`` until exit, fault, or interrupt.
+        """Execute one translation until exit, fault, interrupt or fuel.
 
-        Follows chained exits directly into successor translations
-        without returning to the dispatcher (the paper's "chaining").
-        On FAULT and INTERRUPT outcomes the caller must invoke
-        ``rollback`` before touching guest state.  ``start_pc`` resumes
-        mid-translation at an explicit molecule index (used by the
-        template JIT to hand back control at the exact point it bailed).
+        Starts at the entry, or at molecule index ``start_pc`` (where a
+        template or a cold run handed back control), and returns at the
+        first exit atom with ``EXITED`` and ``exit_atom`` set: following
+        chains is the driver's job (``TemplateJIT.run``).  On FAULT and
+        INTERRUPT outcomes the caller must invoke ``rollback`` before
+        touching guest state.
 
-        ``hot_at`` selects the cold mode the template JIT runs a
-        translation in before it has a template.  Chained exits are
-        returned, not followed, so the JIT driver can enter a hot
-        successor's template.  Once the translation's lifetime
+        ``hot_at`` selects the cold mode a translation runs in before
+        it has a template.  Once the translation's lifetime
         ``executions_molecules`` reaches ``hot_at``, the run stops at
         the next taken branch with ``ExitKind.HOT``; ``resume_pc`` is
         the branch target, where the template takes over.
         """
         info = ExitInfo(kind=ExitKind.EXITED)
-        current = translation
-        pc = current.labels[current.entry_label] if start_pc is None \
-            else start_pc
-        molecules = current.molecules
-        info.translations_entered.append(current)
+        pc = translation.labels[translation.entry_label] \
+            if start_pc is None else start_pc
+        info.translations_entered.append(translation)
         start_molecules = self.molecules_executed
-        pending_ok = self._interrupt_pending
-        self.current_translation = current
+        self.current_translation = translation
 
         try:
-            self._run_loop(info, current, pc, molecules, fuel,
-                           start_molecules, pending_ok, hot_at)
+            self._run_loop(info, translation, pc, fuel, start_molecules,
+                           hot_at)
         finally:
             self.current_translation = None
 
@@ -187,10 +183,13 @@ class HostCPU:
         info.molecules = self.molecules_executed - start_molecules
         return info
 
-    def _run_loop(self, info, current, pc, molecules, fuel,
-                  start_molecules, pending_ok, hot_at) -> None:
+    def _run_loop(self, info, current, pc, fuel, start_molecules,
+                  hot_at) -> None:
+        molecules = current.molecules
+        labels = current.labels
+        pending = self._interrupt_pending
         while True:
-            if pending_ok():
+            if pending():
                 info.kind = ExitKind.INTERRUPT
                 self.interrupt_exits += 1
                 break
@@ -207,13 +206,13 @@ class HostCPU:
                     self.atoms_executed += 1
                     kind = atom.kind
                     if kind is AtomKind.BR:
-                        next_pc = current.labels[atom.label]
+                        next_pc = labels[atom.label]
                     elif kind is AtomKind.BRZ:
                         if self.regs.working[atom.rs1] == 0:
-                            next_pc = current.labels[atom.label]
+                            next_pc = labels[atom.label]
                     elif kind is AtomKind.BRNZ:
                         if self.regs.working[atom.rs1] != 0:
-                            next_pc = current.labels[atom.label]
+                            next_pc = labels[atom.label]
                     elif kind is AtomKind.EXIT:
                         exit_atom = atom
                     else:
@@ -223,27 +222,6 @@ class HostCPU:
                 info.fault = error.fault
                 break
             if exit_atom is not None:
-                chained = exit_atom.chained_translation
-                if chained is not None and hot_at is None and \
-                        not pending_ok():
-                    # Direct exits chain unconditionally; indirect exits
-                    # only through their inline-cache guard (§2's
-                    # chaining, extended to computed targets).
-                    guard_ok = (
-                        exit_atom.exit_target is not None
-                        or exit_atom.chained_guard
-                        == self.regs.shadow[R_EIP]
-                    )
-                    if guard_ok:
-                        current = chained
-                        pc = current.labels[current.entry_label]
-                        molecules = current.molecules
-                        info.chains_followed += 1
-                        info.translations_entered.append(current)
-                        current.entries += 1
-                        self.current_translation = current
-                        continue
-                info.kind = ExitKind.EXITED
                 info.exit_atom = exit_atom
                 break
             if hot_at is not None and next_pc != pc + 1 and \

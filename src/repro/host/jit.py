@@ -36,10 +36,14 @@ Semantics are bit-identical to ``HostCPU.run`` by construction:
 * any host fault raises the same ``HostFaultError`` the dispatcher
   already handles, so rollback and recovery are unchanged.
 
-The wall-clock dial contract of ``CMSConfig`` holds: with
-``template_jit`` on or off, console output and every molecule count are
-identical; only host seconds change.  The differential fuzz oracle
-checks this over the whole dial matrix (``fuzz/oracle.py``).
+``TemplateJIT.run`` is the dispatch path in every configuration: it
+runs each translation on its template or on the simulated VLIW, and it
+is the one loop that follows chained exits between them.  The
+wall-clock dial contract of ``CMSConfig`` holds: ``template_jit`` off
+means "never compile", and with it on or off, console output and every
+molecule count are identical; only host seconds change.  The
+differential fuzz oracle checks this over the whole dial matrix
+(``fuzz/oracle.py``).
 """
 
 from __future__ import annotations
@@ -482,18 +486,17 @@ def compile_translation(translation, cpu, stats=None):
 
 
 # ----------------------------------------------------------------------
-# The driver: a JIT-aware mirror of ``HostCPU.run``
+# The driver: every dispatch, both engines, every chain
 # ----------------------------------------------------------------------
 
 
 class TemplateJIT:
-    """Compiles translations once they are hot and dispatches their
-    templates.
+    """The dispatch driver: runs each translation on its template or on
+    the simulated VLIW, and follows chained exits between them.
 
-    One instance per :class:`CodeMorphingSystem`; ``run`` has the exact
-    contract of ``HostCPU.run`` (same ``ExitInfo``, same counters, same
-    chain following) and bails out to the simulated VLIW for anything
-    the template could not lower.
+    One instance per :class:`CodeMorphingSystem`, in every config;
+    ``run`` is the only way a translation is dispatched and the only
+    loop that follows chains (``HostCPU.run`` returns at every exit).
 
     The paper's staging rule (§2, Figure 1), one tier up: a translation
     runs on the simulated VLIW, in its cold mode, until its lifetime
@@ -508,10 +511,9 @@ class TemplateJIT:
 
     compile_passes = JIT_COMPILE_PASSES
 
-    def __init__(self, cpu, stats=None, phases=None) -> None:
+    def __init__(self, cpu, stats=None) -> None:
         self.cpu = cpu
         self.stats = stats
-        self.phases = phases
         self._uncompilable: set[int] = set()  # translation ids
 
     def hot_at(self, translation) -> int:
@@ -532,12 +534,7 @@ class TemplateJIT:
             return fn
         if translation.id in self._uncompilable:
             return None
-        phases = self.phases
-        if phases is None:
-            fn = compile_translation(translation, self.cpu, self.stats)
-        else:
-            with phases.phase("jit-compile"):
-                fn = compile_translation(translation, self.cpu, self.stats)
+        fn = compile_translation(translation, self.cpu, self.stats)
         stats = self.stats
         if fn is None:
             self._uncompilable.add(translation.id)
@@ -553,69 +550,61 @@ class TemplateJIT:
         if self.stats is not None:
             self.stats.jit_bailouts[reason] += 1
 
-    def run(self, translation, fuel: int = 1_000_000) -> ExitInfo:
-        """Execute ``translation`` via its template until exit, fault,
-        or interrupt, following chains — ``HostCPU.run``, accelerated."""
+    def run(self, translation, fuel: int = 1_000_000,
+            templates: bool = True) -> ExitInfo:
+        """Run ``translation`` and the chains it leads into, until an
+        unchained exit, a fault, an interrupt or ``fuel`` molecules; no
+        chain is followed while an interrupt is pending.  With
+        ``templates`` false (or once a template cannot continue, or a
+        cold translation is invalidated mid-run) every translation runs
+        on the simulated VLIW."""
         cpu = self.cpu
-        if self.stats is not None:
+        if templates and self.stats is not None:
             self.stats.jit_dispatches += 1
         info = ExitInfo(kind=ExitKind.EXITED)
-        current = translation
-        info.translations_entered.append(current)
+        info.translations_entered.append(translation)
         start = cpu.molecules_executed
-        pending = cpu._interrupt_pending
-        shadow = cpu.regs.shadow
-
-        def merge(sub: ExitInfo) -> None:
-            """Fold a simulated-VLIW continuation into this dispatch."""
-            info.kind = sub.kind
-            info.fault = sub.fault
-            info.exit_atom = sub.exit_atom
-            info.chains_followed += sub.chains_followed
-            # sub's first entry re-names ``current``; keep it once.
-            info.translations_entered.extend(sub.translations_entered[1:])
-
         try:
-            self._run_loop(info, current, fuel, start, pending, shadow,
-                           merge)
+            self._run_loop(info, translation, fuel, start, templates)
         finally:
             cpu.current_translation = None
-
-        info.next_eip = shadow[R_EIP]
+        info.next_eip = cpu.regs.shadow[R_EIP]
         info.molecules = cpu.molecules_executed - start
         return info
 
-    def _run_loop(self, info, current, fuel, start, pending, shadow,
-                  merge) -> None:
+    def _run_loop(self, info, current, fuel, start, templates) -> None:
         cpu = self.cpu
+        pending = cpu._interrupt_pending
+        shadow = cpu.regs.shadow
         pc = current.labels[current.entry_label]
         while True:
-            cpu.current_translation = current
             left = fuel - (cpu.molecules_executed - start)
-            fn = current.host_code
-            if fn is None and self.is_cold(current):
+            fn = None
+            if templates:
+                fn = current.host_code
+                if fn is None and not self.is_cold(current):
+                    fn = self.ensure_compiled(current)
+                    if fn is None:
+                        self._bail("uncompilable")
+                        templates = False
+            if fn is None:
+                hot_at = self.hot_at(current) if templates else None
                 sub = cpu.run(current, fuel=left, start_pc=pc,
-                              hot_at=self.hot_at(current))
+                              hot_at=hot_at)
                 if sub.kind is ExitKind.HOT:
+                    # Hot now: compiled on the next pass, unless it was
+                    # invalidated during its cold run; then it never
+                    # compiles and the VLIW finishes the dispatch.
                     pc = sub.resume_pc
-                    if current.valid:
-                        continue  # hot now: compiled on the next pass
-                    # Invalidated during its cold run: never compiled;
-                    # the VLIW finishes the dispatch.
-                    merge(cpu.run(current, fuel=left - sub.molecules,
-                                  start_pc=pc))
-                    break
-                merge(sub)
+                    templates = current.valid
+                    continue
                 if sub.kind is not ExitKind.EXITED:
+                    info.kind = sub.kind
+                    info.fault = sub.fault
                     break
                 atom = sub.exit_atom
             else:
-                if fn is None:
-                    fn = self.ensure_compiled(current)
-                if fn is None:
-                    self._bail("uncompilable")
-                    merge(cpu.run(current, fuel=left, start_pc=pc))
-                    break
+                cpu.current_translation = current
                 try:
                     status, aux = fn(left, pc)
                 except HostFaultError as error:
@@ -637,26 +626,23 @@ class TemplateJIT:
                 else:
                     # _RESUME: the template ran off its arms (a malformed
                     # translation); the VLIW resumes from that exact
-                    # molecule and reproduces whatever the seed path
-                    # would have done.
+                    # molecule and finishes the dispatch.
                     self._bail("resume")
-                    merge(cpu.run(current,
-                                  fuel=fuel - (cpu.molecules_executed
-                                               - start),
-                                  start_pc=aux))
-                    break
-            # An exit from either engine: follow its chain here, so a
-            # hot successor enters its own template.
-            chained = atom.chained_translation
-            if chained is not None and not pending():
-                if atom.exit_target is not None or \
-                        atom.chained_guard == shadow[R_EIP]:
-                    current = chained
-                    pc = current.labels[current.entry_label]
-                    info.chains_followed += 1
-                    info.translations_entered.append(current)
-                    current.entries += 1
+                    templates = False
+                    pc = aux
                     continue
-            info.kind = ExitKind.EXITED
+            # Direct exits chain always, indirect exits only through
+            # their inline-cache guard (§2's chaining, extended to
+            # computed targets).
+            chained = atom.chained_translation
+            if chained is not None and not pending() and (
+                    atom.exit_target is not None
+                    or atom.chained_guard == shadow[R_EIP]):
+                current = chained
+                pc = current.labels[current.entry_label]
+                info.chains_followed += 1
+                info.translations_entered.append(current)
+                current.entries += 1
+                continue
             info.exit_atom = atom
             break

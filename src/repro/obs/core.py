@@ -2,9 +2,10 @@
 
 One :class:`Observability` instance bundles the four pillars —
 metrics registry, phase profiler, hot-spot profiler, telemetry sink —
-behind the handful of calls the dispatcher makes.  The dispatcher
+behind the handful of calls the dispatcher makes.  Phase timing is
+installed from outside (:meth:`Observability.install`).  The system
 holds ``None`` instead when ``CMSConfig.obs_enabled`` is off, so the
-disabled cost is a single attribute test on paths that matter.
+disabled cost is one attribute test at each hot-spot note.
 """
 
 from __future__ import annotations
@@ -14,6 +15,21 @@ from repro.obs.hotspots import HotSpotProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.phases import PhaseProfiler
 from repro.obs.telemetry import TelemetrySink
+
+# (owner attribute of the system, "" for itself; method names; phase).
+# A call made inside another timed call nests under it, so
+# ``jit-compile`` and the inline ``smc-service`` sit under ``execute``.
+_TIMED = (
+    ("", ("_interp_step",), "interpret"),
+    ("", ("_maybe_translate", "_retranslate"), "translate"),
+    ("", ("_handle_fault",), "fault-service"),
+    ("jit", ("run",), "execute"),
+    ("jit", ("ensure_compiled",), "jit-compile"),
+    ("cpu", ("rollback",), "rollback"),
+    ("cpu", ("protection_service",), "smc-service"),
+    ("smc", ("on_protection_fault",), "smc-service"),
+    ("auditor", ("audit",), "audit"),
+)
 
 
 class Observability:
@@ -43,6 +59,24 @@ class Observability:
             sinks.append(self.telemetry)
         return sinks
 
+    def install(self, system) -> None:
+        """Replace each method ``_TIMED`` names, on its owning instance,
+        with a timed wrapper; callers reach it through that instance."""
+        for attr, names, phase in _TIMED:
+            owner = getattr(system, attr) if attr else system
+            for name in names:
+                setattr(owner, name, self._timed(phase, getattr(owner, name)))
+
+    def _timed(self, phase: str, fn):
+        """``fn`` with every call timed under ``phase``."""
+        phases = self.phases
+
+        def timed(*args, **kwargs):
+            with phases.phase(phase):
+                return fn(*args, **kwargs)
+
+        return timed
+
     # -- dispatcher feed ---------------------------------------------------
 
     def note_dispatch(
@@ -61,7 +95,9 @@ class Observability:
     def note_rollback(self, entry_eip: int) -> None:
         self.hotspots.note_rollback(entry_eip)
 
-    def note_translation(self, entry_eip: int, guest_instructions: int) -> None:
+    def note_translation(
+        self, entry_eip: int, guest_instructions: int
+    ) -> None:
         self.hotspots.note_translation(entry_eip)
         self._region_sizes.observe(guest_instructions)
 

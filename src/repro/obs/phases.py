@@ -1,10 +1,12 @@
 """Hierarchical phase profiler for the dispatch loop.
 
 Times the major phases of the dispatcher — interpret, translate,
-execute-translation, fault-service, rollback, SMC-service, audit —
-as a tree: a phase entered while another is open becomes its child,
-and each node tracks inclusive time, self time (inclusive minus
-children), and entry count.
+execute (with JIT compile), fault-service, rollback, SMC-service,
+audit — as a tree: a phase entered while another is open becomes its
+child, and each node tracks inclusive time, self time (inclusive minus
+children), and entry count.  ``Observability.install`` wraps the timed
+methods from outside, each call in one :meth:`PhaseProfiler.phase`;
+nothing else in the runtime opens a phase.
 
 This is the *only* place in the observability layer that reads a
 clock.  Phase times are engineering telemetry about the host; nothing

@@ -240,7 +240,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         jit = "-"
         if resident is not None and resident.host_code is not None:
             jit = "yes"
-        elif resident is not None and system.jit is not None and \
+        elif resident is not None and config.template_jit and \
                 tier is Tier.AGGRESSIVE and system.jit.is_cold(resident):
             jit = "cold"
         print(f"{region.entry_eip:>#10x} {region.instructions:>13} "

@@ -415,7 +415,9 @@ class TestHostExecution:
         assert info.kind is ExitKind.FUEL
         assert info.molecules >= 100
 
-    def test_chaining_followed(self):
+    def test_chained_exit_ends_the_run(self):
+        # The VLIW runs one translation: following a chain is the
+        # driver's job (TemplateJIT.run, tests/test_jit.py).
         machine, _, cpu = _make_cpu()
         t2 = _exit_translation(
             _mol(Atom(AtomKind.MOVI, rd=1, imm=42)), target=0x2000
@@ -426,10 +428,14 @@ class TestHostExecution:
         exit_atom = t1.molecules[-1].atoms[0]
         exit_atom.chained_translation = t2
         info = cpu.run(t1)
-        assert info.chains_followed == 1
+        assert info.kind is ExitKind.EXITED
+        assert info.exit_atom is exit_atom
+        assert info.chains_followed == 0
+        assert info.translations_entered == [t1]
         assert cpu.regs.shadow[0] == 7
-        assert cpu.regs.shadow[1] == 42
-        assert info.next_eip == 0x2000
+        assert cpu.regs.shadow[1] == 0
+        assert t2.executions_molecules == 0 and t2.entries == 0
+        assert info.next_eip == 0x1000
 
     def test_commit_ticks_devices(self):
         machine, _, cpu = _make_cpu()

@@ -18,8 +18,14 @@ import pytest
 from conftest import assert_equivalent, run_cms
 from repro import CMSConfig, CodeMorphingSystem, Machine
 from repro.cache import persist
+from repro.cache.tcache import Translation
+from repro.cms.degrade import Tier
 from repro.host import jit as jit_module
+from repro.host.atoms import Atom, AtomKind
 from repro.host.cpu import ExitKind
+from repro.host.molecule import Molecule
+from repro.host.registers import R_EIP, R_IF
+from repro.translator.policies import TranslationPolicy
 from repro.workloads import get_workload, run_workload
 
 FAST = CMSConfig(translation_threshold=4, fault_threshold=2)
@@ -476,33 +482,34 @@ RUN_EDGES = [edge + delta for edge in (0xA0000, 0xB0000, RAM_TOP)
              for delta in range(-4, 4)]
 
 
+def _translation(entry_eip: int, *atoms) -> Translation:
+    """A straight-line translation, one atom per molecule; the last
+    atom is its exit."""
+    molecules = []
+    for atom in atoms:
+        molecule = Molecule()
+        molecule.add(atom)
+        molecules.append(molecule)
+    return Translation(
+        entry_eip=entry_eip, molecules=molecules, labels={"body": 0},
+        entry_label="body", policy=TranslationPolicy(),
+        code_ranges=[(entry_eip, 16)], code_snapshot=bytes(16),
+        guest_instr_count=1, exit_atoms=[atoms[-1]])
+
+
 def _edge_translation(addr: int, size: int, store: bool):
     """movi; movi; one load or store at ``addr``; exit — no commit, so
     the store buffer shows how the access was classified."""
-    from repro.cache.tcache import Translation
-    from repro.host.atoms import Atom, AtomKind
-    from repro.host.molecule import Molecule
-    from repro.translator.policies import TranslationPolicy
-
     if store:
         access = Atom(AtomKind.ST, rs1=40, rs2=41, size=size, io_ok=True,
                       guest_addr=0x1000)
     else:
         access = Atom(AtomKind.LD, rd=42, rs1=40, size=size, io_ok=True,
                       guest_addr=0x1000)
-    exit_atom = Atom(AtomKind.EXIT, exit_target=0x1010)
-    molecules = []
-    for atom in (Atom(AtomKind.MOVI, rd=40, imm=addr),
-                 Atom(AtomKind.MOVI, rd=41, imm=0xA1B2C3D4), access,
-                 exit_atom):
-        molecule = Molecule()
-        molecule.add(atom)
-        molecules.append(molecule)
-    return Translation(
-        entry_eip=0x1000, molecules=molecules, labels={"body": 0},
-        entry_label="body", policy=TranslationPolicy(),
-        code_ranges=[(0x1000, 16)], code_snapshot=bytes(16),
-        guest_instr_count=1, exit_atoms=[exit_atom])
+    return _translation(
+        0x1000, Atom(AtomKind.MOVI, rd=40, imm=addr),
+        Atom(AtomKind.MOVI, rd=41, imm=0xA1B2C3D4), access,
+        Atom(AtomKind.EXIT, exit_target=0x1010))
 
 
 class TestRamRunGuards:
@@ -584,3 +591,130 @@ class TestRamRunGuards:
         """
         system = _assert_dial_invisible(source, FAST)
         assert system.stats.jit_compiles > 0
+
+
+# ----------------------------------------------------------------------
+# The driver: one loop follows every chain, for both engines
+# ----------------------------------------------------------------------
+
+
+def _chained_pair(exit_target=0x2000, guard=None):
+    """``t1`` sets register 0, commits EIP 0x2000 and exits chained into
+    ``t2`` (a direct exit, or an indirect one when ``exit_target`` is
+    None, guarded by ``guard``); ``t2`` sets register 1, commits EIP
+    0x3000 and exits unchained."""
+    t2 = _translation(
+        0x2000, Atom(AtomKind.MOVI, rd=1, imm=42),
+        Atom(AtomKind.MOVI, rd=R_EIP, imm=0x3000),
+        Atom(AtomKind.COMMIT, instr_count=1),
+        Atom(AtomKind.EXIT, exit_target=0x3000))
+    exit_atom = Atom(AtomKind.EXIT, exit_target=exit_target)
+    exit_atom.chained_translation = t2
+    exit_atom.chained_guard = guard
+    t1 = _translation(
+        0x1000, Atom(AtomKind.MOVI, rd=0, imm=7),
+        Atom(AtomKind.MOVI, rd=R_EIP, imm=0x2000),
+        Atom(AtomKind.COMMIT, instr_count=1), exit_atom)
+    return t1, t2
+
+
+def _driver_system():
+    system = CodeMorphingSystem(Machine(), FAST)
+    system.jit.compile_passes = 0  # templates compile on first entry
+    return system
+
+
+def _run_on(templates: bool, t1, system=None):
+    """Dispatch ``t1``; both translations must have run on the engine
+    ``templates`` selects."""
+    system = system or _driver_system()
+    info = system.jit.run(t1, templates=templates)
+    for translation in info.translations_entered:
+        assert (translation.host_code is not None) is templates
+    assert system.stats.jit_dispatches == int(templates)
+    return system, info
+
+
+@pytest.mark.parametrize("templates", [True, False])
+class TestDriver:
+    def test_follows_a_direct_chain(self, templates):
+        t1, t2 = _chained_pair()
+        system, info = _run_on(templates, t1)
+        assert info.kind is ExitKind.EXITED
+        assert info.chains_followed == 1
+        assert info.translations_entered == [t1, t2]
+        assert info.exit_atom is t2.exit_atoms[0]
+        assert t2.entries == 1
+        assert info.next_eip == 0x3000
+        assert system.cpu.regs.shadow[:2] == [7, 42]
+        assert info.molecules == t1.num_molecules + t2.num_molecules
+
+    @pytest.mark.parametrize("guard", [0x2000, 0x2004])
+    def test_follows_an_indirect_chain_only_through_its_guard(
+            self, templates, guard):
+        t1, t2 = _chained_pair(exit_target=None, guard=guard)
+        system, info = _run_on(templates, t1)
+        followed = guard == 0x2000  # the EIP t1 commits
+        assert info.kind is ExitKind.EXITED
+        assert info.chains_followed == int(followed)
+        assert info.translations_entered == ([t1, t2] if followed
+                                              else [t1])
+        assert info.exit_atom is (t2 if followed else t1).exit_atoms[0]
+        assert info.next_eip == (0x3000 if followed else 0x2000)
+        assert t2.executions_molecules == \
+            (t2.num_molecules if followed else 0)
+
+    def test_follows_no_chain_while_an_interrupt_is_pending(self,
+                                                            templates):
+        t1, t2 = _chained_pair()
+        system = _driver_system()
+        regs = system.cpu.regs
+        regs.working[R_IF] = regs.shadow[R_IF] = 1
+        # An interrupt turns pending as t1's exit molecule completes
+        # (installed before any template binds the PIC's method).
+        system.machine.pic.has_pending = \
+            lambda: t1.executions_molecules == t1.num_molecules
+        system, info = _run_on(templates, t1, system)
+        assert info.kind is ExitKind.EXITED
+        assert info.chains_followed == 0
+        assert info.exit_atom is t1.exit_atoms[0]
+        assert t2.executions_molecules == 0 and t2.entries == 0
+        assert system.cpu.interrupt_exits == 0
+
+
+def test_degraded_region_chains_into_a_hot_template_on_the_vliw(
+        monkeypatch):
+    """A degraded region's dispatch runs on the simulated VLIW to its
+    end: a chained successor that already has a template runs on the
+    VLIW too, and nothing compiles."""
+    system = _driver_system()
+    t1, t2 = _chained_pair()
+    for translation in (t1, t2):
+        system.tcache.insert(translation)
+    system.tcache.chain(t1, t1.exit_atoms[0], t2)
+    template = system.jit.ensure_compiled(t2)
+    assert template is not None
+    template_runs = []
+
+    def spy(fuel, pc):
+        template_runs.append(pc)
+        return template(fuel, pc)
+
+    t2.host_code = spy
+    compiles = []
+    monkeypatch.setattr(jit_module, "compile_translation",
+                        lambda translation, cpu, stats=None:
+                        compiles.append(translation))
+    tier_of = system.degrade.tier_of
+    monkeypatch.setattr(system.degrade, "tier_of", lambda eip: (
+        Tier.CONSERVATIVE if eip == t1.entry_eip else tier_of(eip)))
+    assert system.degrade.tier_of(t2.entry_eip) is Tier.AGGRESSIVE
+    system.state.eip = t1.entry_eip
+    system._dispatch_once()
+    stats = system.stats
+    assert (stats.dispatches, stats.jit_dispatches) == (1, 0)
+    assert stats.chains_followed == 1
+    assert t2.executions_molecules == t2.num_molecules
+    assert template_runs == [] and compiles == []
+    assert t1.host_code is None
+    assert system.state.eip == 0x3000

@@ -389,10 +389,39 @@ class TestSystemIntegration:
         )
         assert dispatch_hist.count == sum(r.dispatches for r in regions)
         phases = system.obs.phases.snapshot()
-        # Dispatches run under "jit-execute" with the template JIT on
-        # (the default) and "execute" on the simulated-VLIW path.
-        assert "execute" in phases or "jit-execute" in phases
+        assert "execute" in phases
         assert "interpret" in phases
+
+    def test_every_timed_phase_appears(self):
+        # One paging run reaches every row of the phase table
+        # (obs/core.py ``_TIMED``); a dropped row leaves its node out.
+        from repro import CodeMorphingSystem, Machine
+        from repro.scenarios.matrix import get
+        from repro.scenarios.runner import seed_disk
+
+        prog = get("paging").build(30_000, 0)
+        machine = Machine()
+        seed_disk(machine, prog, 0)
+        entry = machine.load_source(prog.source)
+        system = CodeMorphingSystem(machine, CMSConfig(obs_enabled=True))
+        system.run(entry, max_instructions=prog.max_instructions)
+        system.health_report()
+        phases = system.obs.phases.snapshot()
+        for path in (
+            "interpret",
+            "translate",
+            "execute",
+            "execute/jit-compile",
+            "execute/smc-service",
+            "fault-service",
+            "fault-service/translate",
+            "fault-service/smc-service",
+            "rollback",
+            "audit",
+        ):
+            assert path in phases, path
+        # Both engines run under the one ``execute`` phase.
+        assert not any("jit-execute" in path for path in phases)
 
     def test_run_summary_telemetry(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
