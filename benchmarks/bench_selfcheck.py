@@ -23,8 +23,7 @@ WORKLOADS = [
 
 
 def _code_size(result) -> int:
-    translator = result.system.translator
-    return max(1, translator.stats.molecules_emitted)
+    return max(1, result.system.stats.molecules_translated)
 
 
 def _collect():

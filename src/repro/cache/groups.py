@@ -28,8 +28,6 @@ class TranslationGroups:
         # entry_eip -> snapshot bytes -> retired translation (MRU order).
         self._groups: dict[int, OrderedDict[bytes, Translation]] = {}
         self.retired = 0
-        self.reactivations = 0
-        self.capacity_drops = 0
 
     def retire(self, translation: Translation) -> None:
         """Park a still-correct version for possible reactivation."""
@@ -39,7 +37,6 @@ class TranslationGroups:
         self.retired += 1
         while len(group) > self.max_versions:
             group.popitem(last=False)
-            self.capacity_drops += 1
 
     def match(self, entry_eip: int,
               current_bytes: bytes) -> Translation | None:
@@ -50,7 +47,6 @@ class TranslationGroups:
         hit = group.pop(current_bytes, None)
         if hit is None:
             return None
-        self.reactivations += 1
         hit.valid = True
         return hit
 
@@ -71,7 +67,6 @@ class TranslationGroups:
                 return None
             if current == snapshot:
                 del group[snapshot]
-                self.reactivations += 1
                 translation.valid = True
                 return translation
         return None

@@ -160,11 +160,9 @@ class TranslationCache:
         # observer), so it is mutated in place and never rebound.
         self._by_page: dict[int, set[Translation]] = {}
         self.total_molecules = 0
-        self.translations_added = 0
         self.invalidations = 0
         self.evictions = 0
         self.flushes = 0
-        self.chains_made = 0
         self.unchains = 0
 
     def __len__(self) -> int:
@@ -197,7 +195,6 @@ class TranslationCache:
         for page in translation.pages():
             self._by_page.setdefault(page, set()).add(translation)
         self.total_molecules += translation.num_molecules
-        self.translations_added += 1
 
     def remove(self, translation: Translation) -> None:
         """Detach a translation from the cache without marking it invalid
@@ -308,7 +305,6 @@ class TranslationCache:
         self._unlink_exit(exit_atom)
         exit_atom.chained_translation = target
         target.incoming_chains.append(exit_atom)
-        self.chains_made += 1
 
     def chain_indirect(self, source: Translation, exit_atom: Atom,
                        target: Translation, guard_eip: int) -> None:
@@ -326,7 +322,6 @@ class TranslationCache:
         exit_atom.chained_translation = target
         exit_atom.chained_guard = guard_eip
         target.incoming_chains.append(exit_atom)
-        self.chains_made += 1
 
     def _unlink_exit(self, exit_atom: Atom) -> None:
         old = exit_atom.chained_translation

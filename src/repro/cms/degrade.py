@@ -352,7 +352,7 @@ class RuntimeAuditor:
         if findings:
             system.stats.audit_repairs += len(findings)
             for finding in findings:
-                system.trace.record(Event.AUDIT_REPAIR, None, finding)
+                system.bus.record(Event.AUDIT_REPAIR, None, finding)
         self.last_findings = findings
         return findings
 

@@ -67,7 +67,6 @@ class AdaptiveController:
         # same address, version-specific escalations (stop/no-reorder
         # addresses, region narrowing) must not carry over.
         self._code_ids: dict[int, str] = {}
-        self.escalations = 0
         self.code_resets = 0
         self.pruned = 0
 
@@ -235,7 +234,6 @@ class AdaptiveController:
         escalated = self._escalate(current, kind, site, genuine)
         if escalated is None or escalated == current:
             return None
-        self.escalations += 1
         self.set_policy(entry, escalated)
         return self.policy_for(entry)
 

@@ -28,6 +28,7 @@ from repro.cache.groups import TranslationGroups
 from repro.cache.tcache import Translation, TranslationCache
 from repro.cms.config import CMSConfig
 from repro.cms.stats import CMSStats
+from repro.cms.trace import Event, EventTrace
 from repro.host.faults import HostFault
 from repro.isa.encoder import immediate_field_offset
 from repro.memory.finegrain import GRANULE_SIZE
@@ -42,8 +43,6 @@ class SMCManager:
                  groups: TranslationGroups, protection: ProtectionMap,
                  machine, stats: CMSStats, controller, trace=None,
                  degrade=None) -> None:
-        from repro.cms.trace import EventTrace
-
         self.trace = trace if trace is not None else EventTrace(enabled=False)
         self.config = config
         self.tcache = tcache
@@ -210,6 +209,7 @@ class SMCManager:
             # resurrect the same prologue-less version.
             self.tcache.invalidate_translation(translation)
             self.stats.smc_invalidations += 1
+            self.trace.record(Event.SMC_INVALIDATE, translation.entry_eip)
 
     def _arm_prologue(self, translation: Translation) -> None:
         """Drop protection and route the next entry through the prologue."""
@@ -218,8 +218,6 @@ class SMCManager:
         translation.prologue_armed = True
         translation.entry_label = translation.prologue_label
         self.stats.revalidations_armed += 1
-        from repro.cms.trace import Event
-
         self.trace.record(Event.REVALIDATE_ARM, translation.entry_eip)
         for page in translation.pages():
             self.recompute_page(page)
@@ -230,8 +228,6 @@ class SMCManager:
         translation.entry_label = "body"
         self.stats.revalidations_passed += 1
         self.protect_translation(translation)
-        from repro.cms.trace import Event
-
         self.trace.record(Event.REVALIDATE_PASS, translation.entry_eip)
 
     def _on_genuine_smc(self, translation: Translation, paddr: int,
@@ -301,8 +297,6 @@ class SMCManager:
         else:
             self.tcache.invalidate_translation(translation)
         self.stats.smc_invalidations += 1
-        from repro.cms.trace import Event
-
         self.trace.record(Event.SMC_INVALIDATE, translation.entry_eip)
         if self.degrade is not None:
             # Invalidate ping-pong between overlapping translations is a
@@ -336,6 +330,7 @@ class SMCManager:
         self.tcache.insert(replacement)
         self.protect_translation(replacement)
         self.stats.group_reactivations += 1
+        self.trace.record(Event.GROUP_REACTIVATE, replacement.entry_eip)
         return replacement
 
     def _learn_from_diff(self, translation: Translation) -> None:
@@ -402,6 +397,7 @@ class SMCManager:
         self.tcache.insert(replacement)
         self.protect_translation(replacement)
         self.stats.group_reactivations += 1
+        self.trace.record(Event.GROUP_REACTIVATE, entry_eip)
         return replacement
 
     def _read_ranges(self, ranges) -> bytes:

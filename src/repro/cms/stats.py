@@ -39,6 +39,9 @@ class CMSStats:
     # every translation made: the static schedule-quality metric the
     # perf gate tracks alongside wall clock.
     modeled_cycles_translated: int = 0
+    # Molecules emitted over every translation made: the code size the
+    # self-checking benchmark compares (§3.6.3).
+    molecules_translated: int = 0
 
     # Exceptional events.
     rollbacks: int = 0

@@ -93,10 +93,11 @@ class CodeMorphingSystem:
         self.trace = EventTrace()
         # Observability (PR 4): every runtime event is published on the
         # bus; the ring-buffer trace is one sink, and with obs enabled
-        # the metrics registry and JSONL telemetry subscribe alongside
-        # it.  Phase timing is installed from outside once the system is
-        # built (``Observability.install``); ``self.obs is None`` only
-        # gates the hot-spot notes.
+        # the JSONL telemetry subscribes alongside it.  No sink counts:
+        # each event's total is the ``CMSStats`` counter bumped where
+        # the event is published.  Phase timing is installed from
+        # outside once the system is built (``Observability.install``);
+        # ``self.obs is None`` only gates the hot-spot notes.
         self.bus = ObservationBus()
         self.bus.add_sink(self.trace)
         self.obs = Observability(config) if config.obs_enabled else None
@@ -673,8 +674,6 @@ class CodeMorphingSystem:
         try:
             reactivated = self.smc.try_group_reactivation(eip)
             if reactivated is not None:
-                self.stats.group_reactivations += 1
-                self.bus.record(Event.GROUP_REACTIVATE, eip)
                 return reactivated
             policy = self.degrade.clamp(eip, self.controller.policy_for(eip))
             translation = self.translator.translate(eip, policy)
@@ -699,6 +698,7 @@ class CodeMorphingSystem:
         self.stats.guest_instructions_translated += \
             translation.guest_instr_count
         self.stats.modeled_cycles_translated += translation.modeled_cycles
+        self.stats.molecules_translated += translation.num_molecules
         if self.obs is not None:
             self.obs.note_translation(eip, translation.guest_instr_count)
         self.bus.record(Event.TRANSLATE, eip,
@@ -748,6 +748,7 @@ class CodeMorphingSystem:
         self.stats.guest_instructions_translated += \
             replacement.guest_instr_count
         self.stats.modeled_cycles_translated += replacement.modeled_cycles
+        self.stats.molecules_translated += replacement.num_molecules
 
     # ------------------------------------------------------------------
     # Fault recovery (§3): rollback happened; decide and make progress

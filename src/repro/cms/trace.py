@@ -3,13 +3,15 @@
 A lightweight ring buffer of runtime events — translations, faults,
 rollbacks, adaptations, SMC actions — for debugging, the examples, and
 behavioural tests.  Recording is cheap (one tuple append); the buffer
-is bounded so long runs cannot grow without limit.
+is bounded so long runs cannot grow without limit.  It counts nothing:
+every event's run total is a :class:`~repro.cms.stats.CMSStats`
+counter, bumped at the site that records the event.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -21,7 +23,6 @@ class Event(enum.Enum):
     FAULT = "fault"
     ROLLBACK = "rollback"
     INTERRUPT = "interrupt"
-    GUEST_EXCEPTION = "guest-exception"
     SPECULATIVE_FAULT = "speculative-fault"
     GENUINE_FAULT = "genuine-fault"
     SMC_INVALIDATE = "smc-invalidate"
@@ -56,22 +57,11 @@ class TraceRecord:
 
 
 class EventTrace:
-    """Bounded event log with counting and simple querying.
-
-    Counting semantics (kept consistent with the bounded ring):
-    ``counts`` tallies only the records *currently in the ring* — when
-    the ring evicts its oldest record, that record leaves ``counts``
-    too, so the two views never disagree about what the trace holds.
-    ``lifetime_counts`` is the monotone all-time total per event kind;
-    it grows one integer per event *kind* (a small fixed set), never
-    per event, so it is bounded regardless of run length.
-    """
+    """Bounded event log with simple querying."""
 
     def __init__(self, capacity: int = 4096, enabled: bool = True) -> None:
         self.enabled = enabled
         self._records: deque[TraceRecord] = deque(maxlen=capacity)
-        self.counts: Counter = Counter()  # records still in the ring
-        self.lifetime_counts: Counter = Counter()  # all-time totals
         self._sequence = 0
 
     def record(self, event: Event, eip: int | None = None,
@@ -79,17 +69,7 @@ class EventTrace:
         if not self.enabled:
             return
         self._sequence += 1
-        self.lifetime_counts[event] += 1
-        self.counts[event] += 1
-        records = self._records
-        if len(records) == records.maxlen:
-            evicted = records[0]
-            self.counts[evicted.event] -= 1
-            if not self.counts[evicted.event]:
-                del self.counts[evicted.event]
-        records.append(
-            TraceRecord(self._sequence, event, eip, detail)
-        )
+        self._records.append(TraceRecord(self._sequence, event, eip, detail))
 
     def __len__(self) -> int:
         return len(self._records)

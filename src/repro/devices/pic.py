@@ -28,8 +28,6 @@ class InterruptController:
         self._in_service = 0
         self._mask = 0
         self.raised = 0
-        self.delivered = 0
-        self.spurious_eois = 0
 
     def attach(self, ports: PortBus, command_port: int = 0x20,
                mask_port: int = 0x21) -> None:
@@ -68,7 +66,6 @@ class InterruptController:
         irq = vector - IRQ_BASE
         self._pending &= ~(1 << irq)
         self._in_service |= 1 << irq
-        self.delivered += 1
 
     # ------------------------------------------------------------------
     # Guest-visible registers
@@ -81,12 +78,9 @@ class InterruptController:
         return self._pending
 
     def _write_command(self, value: int) -> None:
-        if value == EOI_COMMAND:
-            if self._in_service:
-                lowest = self._in_service & -self._in_service
-                self._in_service &= ~lowest
-            else:
-                self.spurious_eois += 1
+        if value == EOI_COMMAND and self._in_service:  # else spurious
+            lowest = self._in_service & -self._in_service
+            self._in_service &= ~lowest
 
     def _write_mask(self, value: int) -> None:
         self._mask = value & 0xFFFF

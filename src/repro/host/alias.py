@@ -31,9 +31,6 @@ class AliasHardware:
     def __init__(self, num_entries: int = 8) -> None:
         self.num_entries = num_entries
         self._entries = [AliasEntry() for _ in range(num_entries)]
-        self.records = 0
-        self.checks = 0
-        self.violations = 0
 
     def record(self, entry: int, paddr: int, size: int) -> None:
         """Protect [paddr, paddr+size) in the named entry."""
@@ -41,14 +38,12 @@ class AliasHardware:
         slot.valid = True
         slot.paddr = paddr
         slot.size = size
-        self.records += 1
 
     def check(self, mask: int, paddr: int, size: int) -> int | None:
         """Check a store against the entries in ``mask``.
 
         Returns the index of a violated entry, or None.
         """
-        self.checks += 1
         remaining = mask
         while remaining:
             entry = (remaining & -remaining).bit_length() - 1
@@ -58,7 +53,6 @@ class AliasHardware:
             slot = self._entries[entry]
             if slot.valid and paddr < slot.paddr + slot.size and \
                     slot.paddr < paddr + size:
-                self.violations += 1
                 return entry
         return None
 

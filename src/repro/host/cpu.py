@@ -80,10 +80,6 @@ class HostCPU:
         self.store_buffer = GatedStoreBuffer(store_buffer_capacity)
         self.alias = AliasHardware(alias_entries)
         self.molecules_executed = 0
-        self.atoms_executed = 0
-        self.commits = 0
-        self.rollbacks = 0
-        self.interrupt_exits = 0
         # True between an irrevocable device interaction (port I/O or an
         # io_ok MMIO access) and the commit that fences it; interrupt
         # exits are suppressed in that window so a rollback can never
@@ -109,7 +105,6 @@ class HostCPU:
         self.store_buffer.drain(self.machine.bus)
         self.alias.clear()
         self._io_uncommitted = False
-        self.commits += 1
         if instr_count:
             self.machine.tick(instr_count)
 
@@ -142,7 +137,6 @@ class HostCPU:
         self.store_buffer.drop()
         self.alias.clear()
         self._io_uncommitted = False
-        self.rollbacks += 1
 
     # ------------------------------------------------------------------
     # Top-level execution
@@ -191,7 +185,6 @@ class HostCPU:
         while True:
             if pending():
                 info.kind = ExitKind.INTERRUPT
-                self.interrupt_exits += 1
                 break
             if self.molecules_executed - start_molecules >= fuel:
                 info.kind = ExitKind.FUEL
@@ -203,7 +196,6 @@ class HostCPU:
             exit_atom: Atom | None = None
             try:
                 for atom in molecule.atoms:
-                    self.atoms_executed += 1
                     kind = atom.kind
                     if kind is AtomKind.BR:
                         next_pc = labels[atom.label]

@@ -23,16 +23,16 @@ Semantics are bit-identical to ``HostCPU.run`` by construction:
 
 * every molecule still performs the interrupt check and the fuel check
   at its boundary, in the same order;
-* ``molecules_executed`` / ``atoms_executed`` / per-translation
-  execution counters advance exactly as the simulated VLIW advances
-  them (flushed in a ``finally`` so mid-molecule faults keep partial
-  counts);
+* ``molecules_executed`` and the per-translation
+  ``executions_molecules`` advance exactly as the simulated VLIW
+  advances them (flushed in a ``finally``, so a fault keeps the count
+  of the molecule it fired in);
 * alias record/check, the gated store buffer, fine-grain protection,
   MMIO routing, commit/rollback, and SMC invalidation all run through
-  the same objects and counters — the generated code only *inlines*
-  the provably side-effect-free guard (unprotected RAM, buffer not
-  full, paging off) and falls back to the exact ``HostCPU`` helpers
-  whenever any guard fails;
+  the same objects — the generated code only *inlines* the provably
+  side-effect-free guard (unprotected RAM, buffer not full, paging
+  off) and falls back to the exact ``HostCPU`` helpers whenever any
+  guard fails;
 * any host fault raises the same ``HostFaultError`` the dispatcher
   already handles, so rollback and recovery are unchanged.
 
@@ -260,7 +260,6 @@ class _Codegen:
         self._alias_lines(atom, depth + 1, store=True)
         self.emit(depth + 1, f"v = w[{atom.rs2}]")
         self.emit(depth + 1, f"ent.append(BS(x, {size}, v, False))")
-        self.emit(depth + 1, "sb.total_buffered += 1")
         self.emit(depth + 1, "ovl[x] = v & 255")
         for i in range(1, size):
             self.emit(depth + 1, f"ovl[x + {i}] = (v >> {8 * i}) & 255")
@@ -310,14 +309,6 @@ class _Codegen:
         else:
             raise _Unsupported(f"atom kind {kind}")
 
-    # Atoms whose execution can raise (or call arbitrary code): the
-    # batched atom counter must be flushed *before* each of these so a
-    # mid-molecule fault leaves the same partial count the VLIW leaves.
-    _FLUSH_KINDS = frozenset({
-        AtomKind.LD, AtomKind.ST, AtomKind.COMMIT, AtomKind.DIVU,
-        AtomKind.DIVS, AtomKind.PORT_IN, AtomKind.PORT_OUT, AtomKind.FAIL,
-    })
-
     _BRANCH_KINDS = frozenset({AtomKind.BR, AtomKind.BRZ, AtomKind.BRNZ})
 
     # -- per-molecule lowering -----------------------------------------
@@ -354,31 +345,22 @@ class _Codegen:
         if defer:
             self.emit(depth, f"np = {pc + 1}")
 
-        pending = 0  # atoms counted but not yet flushed into ``a``
         for atom in atoms:
-            if atom.kind in self._FLUSH_KINDS:
-                self.emit(depth, f"a += {pending + 1}")
-                pending = 0
-                self._plain_atom(atom, depth)
-                continue
-            pending += 1
             if atom.kind is AtomKind.EXIT:
                 continue  # handled after the molecule completes
             if atom.kind in self._BRANCH_KINDS:
-                target = t.labels[atom.label]
-                cond = self._branch_cond(atom)
                 if defer:
+                    target = t.labels[atom.label]
+                    cond = self._branch_cond(atom)
                     if cond is None:
                         self.emit(depth, f"np = {target}")
                     else:
                         self.emit(depth, f"if {cond}:")
                         self.emit(depth + 1, f"np = {target}")
-                # Non-deferred: the branch is the molecule's last atom;
-                # emitted below, after the count flush.
+                # Non-deferred: the branch is the molecule's last atom,
+                # emitted below.
                 continue
             self._plain_atom(atom, depth)
-        if pending:
-            self.emit(depth, f"a += {pending}")
 
         if exit_atom is not None:
             self.emit(depth, f"return ({_EXIT}, {self.bind(exit_atom)})")
@@ -430,7 +412,6 @@ class _Codegen:
         arms = [arm for arm in arms if arm < count]
         self.emit(1, "def _jit(fuel, pc):")
         self.emit(2, "m = 0")
-        self.emit(2, "a = 0")
         self.emit(2, "try:")
         self.emit(3, "while 1:")
         for index, arm in enumerate(arms):
@@ -442,7 +423,6 @@ class _Codegen:
         self.emit(4, f"return ({_RESUME}, pc)")
         self.emit(2, "finally:")
         self.emit(3, "cpu.molecules_executed += m")
-        self.emit(3, "cpu.atoms_executed += a")
         self.emit(3, "t.executions_molecules += m")
         self.emit(1, "return _jit")
         params = ", ".join(self.consts)
@@ -616,7 +596,6 @@ class TemplateJIT:
                     atom = aux
                 elif status == _INTERRUPT:
                     info.kind = ExitKind.INTERRUPT
-                    cpu.interrupt_exits += 1
                     self._bail("interrupt")
                     break
                 elif status == _FUEL:

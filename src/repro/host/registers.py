@@ -56,8 +56,6 @@ class HostRegisterFile:
     def __init__(self) -> None:
         self.working = [0] * NUM_HOST_REGS
         self.shadow = [0] * NUM_HOST_REGS
-        self.commits = 0
-        self.rollbacks = 0
 
     def get(self, index: int) -> int:
         return self.working[index]
@@ -72,12 +70,10 @@ class HostRegisterFile:
         model charges zero molecules beyond the commit atom itself.
         """
         self.shadow[:] = self.working
-        self.commits += 1
 
     def rollback(self) -> None:
         """Restore all working registers from their shadows (§3.1)."""
         self.working[:] = self.shadow
-        self.rollbacks += 1
 
     def in_sync(self) -> bool:
         """True when working == shadow (the between-translations invariant)."""

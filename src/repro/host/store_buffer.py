@@ -51,10 +51,6 @@ class GatedStoreBuffer:
         # these too.
         self._lo = NO_LO
         self._hi = 0
-        self.total_buffered = 0
-        self.total_drained = 0
-        self.total_dropped = 0
-        self.forwarded_loads = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -67,7 +63,6 @@ class GatedStoreBuffer:
         if len(self._entries) >= self.capacity:
             raise StoreBufferOverflow()
         self._entries.append(BufferedStore(paddr, size, value, is_io))
-        self.total_buffered += 1
         if not is_io:
             for i in range(size):
                 self._overlay[paddr + i] = (value >> (8 * i)) & 0xFF
@@ -81,17 +76,13 @@ class GatedStoreBuffer:
         if paddr >= self._hi or paddr + size <= self._lo:
             return memory_value
         merged = memory_value
-        hit = False
         for i in range(size):
             byte = self._overlay.get(paddr + i)
             if byte is not None:
                 merged = (merged & ~(0xFF << (8 * i))) | (byte << (8 * i))
-                hit = True
-        if hit:
-            self.forwarded_loads += 1
         return merged
 
-    def drain(self, bus) -> int:
+    def drain(self, bus) -> None:
         """Release all buffered stores to the memory system, in order.
 
         An MMIO entry goes through ``bus.write``, device side effects
@@ -104,8 +95,7 @@ class GatedStoreBuffer:
         """
         entries = self._entries
         if not entries:
-            return 0  # the overlay and its bounds are empty too
-        count = len(entries)
+            return  # the overlay and its bounds are empty too
         ram = bus.ram._data
         notify = bus.notify_store
         for entry in entries:
@@ -119,14 +109,9 @@ class GatedStoreBuffer:
         entries.clear()
         self._overlay.clear()
         self._lo, self._hi = NO_LO, 0
-        self.total_drained += count
-        return count
 
-    def drop(self) -> int:
+    def drop(self) -> None:
         """Rollback: discard everything buffered since the last commit."""
-        count = len(self._entries)
         self._entries.clear()
         self._overlay.clear()
         self._lo, self._hi = NO_LO, 0
-        self.total_dropped += count
-        return count

@@ -109,13 +109,12 @@ class Interpreter:
     # Top-level stepping
     # ------------------------------------------------------------------
 
-    def step(self, tick: bool = True) -> StepOutcome:
+    def step(self) -> StepOutcome:
         """Execute one instruction (or deliver one interrupt).
 
-        Raises ``Halted`` when the machine executes ``hlt`` with
-        interrupts disabled.  When ``tick`` is false the caller owns
-        device time (used by CMS recovery re-execution, which replays
-        instructions whose device time already passed).
+        Device time advances one tick per instruction, and per step
+        spent waiting in ``hlt``.  Raises ``Halted`` when the machine
+        executes ``hlt`` with interrupts disabled.
         """
         state = self.state
         machine = self.machine
@@ -132,8 +131,7 @@ class Interpreter:
             if not state.interrupts_enabled:
                 raise Halted()
             # Waiting for an interrupt: let device time advance.
-            if tick:
-                machine.tick(1)
+            machine.tick(1)
             return IDLE
 
         addr = state.eip
@@ -163,8 +161,7 @@ class Interpreter:
                 # pushed out of physical memory): the double/triple
                 # fault of a real PC, which shuts the machine down.
                 raise Halted() from None
-            if tick:
-                machine.tick(1)
+            machine.tick(1)
             return EXCEPTION
         profile = self.profile
         if profile is not None:
@@ -172,8 +169,7 @@ class Interpreter:
                 profile.on_mmio(addr)
             if self._touched_pt:
                 profile.on_pt_store(addr)
-        if tick:
-            machine.tick(1)
+        machine.tick(1)
         return RETIRED
 
     def run(self, max_steps: int = 1_000_000) -> int:

@@ -146,16 +146,6 @@ class Machine:
         except IndexError:
             raise general_protection() from None
 
-    def vread(self, vaddr: int, size: int) -> int:
-        """Data read at virtual ``vaddr`` (may hit MMIO)."""
-        paddr = self.mmu.translate_range(vaddr & MASK32, size, is_write=False)
-        return self.bus.read(paddr, size)
-
-    def vwrite(self, vaddr: int, value: int, size: int) -> None:
-        """Data write at virtual ``vaddr`` (may hit MMIO)."""
-        paddr = self.mmu.translate_range(vaddr & MASK32, size, is_write=True)
-        self.bus.write(paddr, value, size)
-
     def vtranslate(self, vaddr: int, size: int, is_write: bool) -> int:
         """Translate without performing the access (the interpreter's
         data path; translated code uses the non-counting

@@ -32,7 +32,6 @@ class FineGrainCache:
         self._entries: OrderedDict[int, int] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.installs = 0
         self.evictions = 0
 
     def lookup(self, page: int) -> int | None:
@@ -55,7 +54,6 @@ class FineGrainCache:
             self._entries.popitem(last=False)
             self.evictions += 1
         self._entries[page] = granule_mask
-        self.installs += 1
 
     def invalidate(self, page: int) -> None:
         self._entries.pop(page, None)

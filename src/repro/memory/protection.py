@@ -66,7 +66,6 @@ class ProtectionMap:
         # and never rebound.
         self._pages: dict[int, int] = {}
         self.protection_faults = 0
-        self.fg_miss_faults = 0
         self.fg_allowed_stores = 0
         self.code_hit_faults = 0
 
@@ -154,7 +153,6 @@ class ProtectionMap:
         cached_mask = self.fine_grain.lookup(page)
         if cached_mask is None:
             self.protection_faults += 1
-            self.fg_miss_faults += 1
             return StoreCheck(StoreClass.FAULT_MISS, page)
         lo = addr - page * PAGE_SIZE
         hi = min(lo + size, PAGE_SIZE)

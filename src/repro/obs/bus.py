@@ -4,8 +4,10 @@ The CMS dispatcher (and the subsystems it hands a recorder to — the
 SMC manager, the degradation ladder) publish events through the bus
 instead of writing into :class:`~repro.cms.trace.EventTrace` directly.
 The trace is simply one sink among several: the ring buffer keeps its
-debugging role, while the metrics registry counts events and the JSONL
-telemetry sink streams them, all from the same publication.
+debugging role, and the JSONL telemetry sink streams every event from
+the same publication.  No sink counts events: each event's run total
+is a :class:`~repro.cms.stats.CMSStats` counter, bumped at the site
+that publishes it.
 
 The sink protocol is exactly ``EventTrace.record``'s signature —
 ``record(event, eip=None, detail="")`` — so an ``EventTrace`` *is* a
@@ -14,8 +16,6 @@ a trace recorder is expected.
 """
 
 from __future__ import annotations
-
-from repro.obs.metrics import MetricsRegistry
 
 
 class ObservationBus:
@@ -34,14 +34,3 @@ class ObservationBus:
     def record(self, event, eip=None, detail: str = "") -> None:
         for sink in self._sinks:
             sink.record(event, eip, detail)
-
-
-class EventCountSink:
-    """Bus sink bumping one registry counter per event kind."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-
-    def record(self, event, eip=None, detail: str = "") -> None:
-        name = getattr(event, "value", str(event))
-        self.registry.counter(f"events.{name}").inc()

@@ -10,7 +10,6 @@ disabled cost is one attribute test at each hot-spot note.
 
 from __future__ import annotations
 
-from repro.obs.bus import EventCountSink
 from repro.obs.hotspots import HotSpotProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.phases import PhaseProfiler
@@ -53,11 +52,10 @@ class Observability:
         )
 
     def event_sinks(self) -> list:
-        """The bus sinks this facade contributes."""
-        sinks: list = [EventCountSink(self.registry)]
-        if self.telemetry is not None:
-            sinks.append(self.telemetry)
-        return sinks
+        """The bus sinks this facade contributes: the telemetry sink,
+        which streams every event.  The registry counts none; its
+        ``stats.*`` counters come from ``finalize``."""
+        return [self.telemetry] if self.telemetry is not None else []
 
     def install(self, system) -> None:
         """Replace each method ``_TIMED`` names, on its owning instance,
@@ -122,7 +120,8 @@ class Observability:
     # -- finalization ------------------------------------------------------
 
     def finalize(self, stats_dict: dict, run_info: dict | None = None) -> None:
-        """Fold run totals into the registry and emit the summary record."""
+        """Fold the ``CMSStats`` run totals into the registry as
+        ``stats.*`` counters and emit the summary record."""
         self.registry.set_counters(stats_dict, prefix="stats.")
         if self.telemetry is None:
             return

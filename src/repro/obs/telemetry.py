@@ -20,8 +20,10 @@ import json
 import os
 
 #: Version of the record envelope.  Bump when the envelope or the
-#: payload layout of a built-in record kind changes shape.
-SCHEMA_VERSION = 1
+#: payload layout of a built-in record kind changes shape.  Version 2:
+#: run-summary ``metrics`` carry no ``events.*`` counters (event totals
+#: are the ``stats.*`` counters; events stream as ``event`` records).
+SCHEMA_VERSION = 2
 
 
 class TelemetrySink:

@@ -323,10 +323,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     system.run(entry, max_instructions=workload.max_instructions)
     print(system.trace.dump(args.count))
     print()
-    print("event totals (lifetime):")
-    for event, count in sorted(system.trace.lifetime_counts.items(),
-                               key=lambda item: -item[1]):
-        print(f"  {event.value:<20} {count}")
+    print(system.stats.summary(system.config.cost))
     return 0
 
 

@@ -8,8 +8,6 @@ then with progressively smaller regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.cache.tcache import Translation, compute_range_digests
 from repro.interp.profile import ExecutionProfile
 from repro.translator.codegen import CodegenError, CodeGenerator
@@ -24,17 +22,6 @@ class TranslationError(Exception):
     """The region could not be translated at any fallback level."""
 
 
-@dataclass
-class TranslatorStats:
-    translations: int = 0
-    guest_instructions: int = 0
-    molecules_emitted: int = 0
-    modeled_cycles: int = 0
-    fallback_retries: int = 0
-    speculated_loads: int = 0
-    hoisted_over_exits: int = 0
-
-
 class Translator:
     """Builds translations from hot guest code."""
 
@@ -43,7 +30,6 @@ class Translator:
         self.machine = machine
         self.profile = profile
         self.alias_entries = alias_entries
-        self.stats = TranslatorStats()
 
     def translate(self, entry_eip: int,
                   policy: TranslationPolicy) -> Translation | None:
@@ -57,20 +43,13 @@ class Translator:
                 return None
             effective = self._learn_mmio(region, attempt_policy)
             try:
-                translation = self._pipeline(region, effective,
-                                             enable_cse=attempt == 0)
+                return self._pipeline(region, effective,
+                                      enable_cse=attempt == 0)
             except (CodegenError, FrontendError):
-                self.stats.fallback_retries += 1
                 attempt_policy = attempt_policy.with_(
                     max_instructions=max(
                         8, attempt_policy.max_instructions // 2),
                 )
-                continue
-            self.stats.translations += 1
-            self.stats.guest_instructions += translation.guest_instr_count
-            self.stats.molecules_emitted += translation.num_molecules
-            self.stats.modeled_cycles += translation.modeled_cycles
-            return translation
         raise TranslationError(f"cannot translate region at {entry_eip:#x}")
 
     def _learn_mmio(self, region: Region,
@@ -96,8 +75,6 @@ class Translator:
         trace = Frontend(policy).lower(region)
         optimize(trace, enable_cse=enable_cse)
         schedule = Scheduler(policy, self.alias_entries).schedule(trace)
-        self.stats.speculated_loads += schedule.speculated_loads
-        self.stats.hoisted_over_exits += schedule.hoisted_over_exits
         snapshot = self._snapshot(region)
         translation = CodeGenerator(policy).generate(region, trace, schedule,
                                                      snapshot)

@@ -174,12 +174,11 @@ def test_block_write_equals_byte_writes(case):
 # ----------------------------------------------------------------------
 
 
-def per_entry_drain(buffer: GatedStoreBuffer, bus: MemoryBus) -> int:
+def per_entry_drain(buffer: GatedStoreBuffer, bus: MemoryBus) -> None:
     """The seed's drain: every buffered store through ``bus.write``
     (run on a World without page filters, as on the seed bus)."""
     for entry in buffer._entries:
         bus.write(entry.paddr, entry.value, entry.size)
-    return len(buffer._entries)
 
 
 @st.composite
@@ -228,8 +227,8 @@ def test_drain_equals_per_entry_bus_writes(case):
             # What the host CPU buffers; any other store faults first.
             if not bus.write_faults(addr, size):
                 buffer.write(addr, value, size, bus.is_io(addr, size))
-        drained = drain(buffer, bus)
-        outcomes.append((drained, world.outcome(), world.mmu.mapping_epoch))
+        drain(buffer, bus)
+        outcomes.append((world.outcome(), world.mmu.mapping_epoch))
     assert outcomes[0] == outcomes[1]
 
 

@@ -364,7 +364,6 @@ class TestHostExecution:
         )
         info = cpu.run(t)
         assert info.kind is ExitKind.INTERRUPT
-        assert cpu.interrupt_exits == 1
 
     def test_no_interrupt_exit_when_if_clear(self):
         machine, _, cpu = _make_cpu()

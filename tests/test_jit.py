@@ -541,7 +541,7 @@ class TestRamRunGuards:
                             None if fault is None else (
                                 fault.kind, fault.guest_exception.vector
                                 if fault.guest_exception else None),
-                            cpu.molecules_executed, cpu.atoms_executed,
+                            cpu.molecules_executed,
                             list(cpu.regs.working), cpu._io_uncommitted,
                             [(e.paddr, e.size, e.value, e.is_io)
                              for e in cpu.store_buffer._entries],
@@ -679,7 +679,6 @@ class TestDriver:
         assert info.chains_followed == 0
         assert info.exit_atom is t1.exit_atoms[0]
         assert t2.executions_molecules == 0 and t2.entries == 0
-        assert system.cpu.interrupt_exits == 0
 
 
 def test_degraded_region_chains_into_a_hot_template_on_the_vliw(

@@ -19,7 +19,6 @@ from conftest import run_cms
 from repro import CMSConfig
 from repro.obs import (
     SCHEMA_VERSION,
-    EventCountSink,
     HistogramMetric,
     HotSpotProfiler,
     MetricsRegistry,
@@ -310,15 +309,6 @@ class TestBus:
         assert first.calls == [("ev", 1, "x"), ("ev2", None, "")]
         assert second.calls == [("ev", 1, "x")]
 
-    def test_event_count_sink(self):
-        registry = MetricsRegistry()
-        sink = EventCountSink(registry)
-        sink.record(SimpleNamespace(value="translate"))
-        sink.record(SimpleNamespace(value="translate"))
-        sink.record(SimpleNamespace(value="fault"))
-        assert registry.counter("events.translate").value == 2
-        assert registry.counter("events.fault").value == 1
-
 
 # ----------------------------------------------------------------------
 # System: observability must not perturb the deterministic core
@@ -436,6 +426,14 @@ class TestSystemIntegration:
         counters = summary["metrics"]["counters"]
         assert counters["stats.translations_made"] == (
             system.stats.translations_made
+        )
+        # Event totals are the ``stats.*`` counters; the events
+        # themselves stream as ``event`` records.
+        assert not any(name.startswith("events.") for name in counters)
+        events = [r["event"] for r in records if r["kind"] == "event"]
+        assert (
+            events.count("translate") + events.count("retranslate")
+            == system.stats.translations_made
         )
         assert summary["hotspots"]["regions"]
         assert summary["run"]["halted"] is True

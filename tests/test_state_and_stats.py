@@ -105,11 +105,6 @@ class TestMachineComposition:
         assert entry == 0x3000
         assert machine.ram.read8(0x3000) == 0  # NOP opcode
 
-    def test_vread_vwrite_roundtrip(self):
-        machine = Machine()
-        machine.vwrite(0x2000, 0xDEADBEEF, 4)
-        assert machine.vread(0x2000, 4) == 0xDEADBEEF
-
     def test_fetch_byte_rejects_mmio(self):
         from repro.isa.exceptions import GuestException
 

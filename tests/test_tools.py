@@ -89,7 +89,9 @@ class TestCLI:
         assert main(["trace", "gcc", "--threshold", "6"]) == 0
         out = capsys.readouterr().out
         assert "translate" in out
-        assert "event totals (lifetime):" in out
+        # The ring is followed by the run's ``CMSStats`` summary.
+        assert "mol / instr" in out
+        assert "translations " in out and "group hits)" in out
 
     def test_config_flags_apply(self, capsys):
         assert main(["run", "eqntott", "--no-reorder",

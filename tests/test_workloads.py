@@ -104,9 +104,8 @@ class TestWorkloadPhenomena:
 
     def test_blt_driver_reactivates_versions(self):
         result = run_workload(ALL_WORKLOADS["blt_driver"], FAST)
-        groups = result.system.groups
-        assert groups.retired >= 2
-        assert groups.reactivations >= 1
+        assert result.system.groups.retired >= 2
+        assert result.system.stats.group_reactivations >= 1
 
     def test_mmio_sites_learned_in_boots(self):
         result = run_workload(ALL_WORKLOADS["os2_boot"], FAST)
